@@ -8,10 +8,11 @@ Z_{n/gcd(n, rep)}.  We multiply each coordinate by a unit h so that
         = gcd(n, all reps)  (mod n).
 
 That calibration makes the weighted sum of the encoded function advance by
-exactly gcd(n, reps) per rotation, which is what pins down a unique valid
-rotation later.  The search for the lexicographically smallest unit tuple
-is exhaustive; theory guarantees a (possibly non-diagonal) solution exists,
-and on the supported instance range the diagonal search always succeeds.
+exactly gcd(n, reps) per rotation, which lets map_necklace solve for the
+unique zero-sum rotation instead of trying each one.  The search for the
+lexicographically smallest unit tuple is exhaustive; theory guarantees a
+(possibly non-diagonal) solution exists, and on the supported instance
+range the diagonal search always succeeds.
 """
 
 from __future__ import annotations
@@ -27,12 +28,21 @@ Support = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class UnitAutomorphism:
-    """Coordinatewise multiplication by units, one per supported coset."""
+    """Coordinatewise multiplication by units, one per supported coset.
+
+    `coeffs[k]` is w_i * rep_{i,j} mod n for pair k: what one aligned turn
+    of that coset adds to the image's weighted sum.  `step` is
+    gcd(n, supported reps), the calibration target: one rotation of the
+    word adds step to the weighted sum (step = n when no coset other than
+    the one of 0 is supported).
+    """
 
     support: Support
     pairs: tuple[tuple[int, int], ...]
     moduli: tuple[int, ...]
     units: tuple[int, ...]
+    coeffs: tuple[int, ...]
+    step: int
 
     def apply(self, turns: tuple[int, ...]) -> tuple[int, ...]:
         """Multiply each rotation counter by its unit."""
@@ -94,12 +104,13 @@ class AutomorphismTable:
                 reps.append(coset.rep)
                 moduli.append(n // math.gcd(n, coset.rep))
                 coeffs.append(w * coset.rep % n)
-        target = gcd_of_set(n, reps) % n
-        return tuple(pairs), tuple(moduli), tuple(coeffs), target
+        step = gcd_of_set(n, reps)
+        return tuple(pairs), tuple(moduli), tuple(coeffs), step
 
     def _solve(self, key: Support) -> UnitAutomorphism:
         n = self._tables.params.n
-        pairs, moduli, coeffs, target = self._congruence_data(key)
+        pairs, moduli, coeffs, step = self._congruence_data(key)
+        target = step % n
         choices = [
             (0,) if m == 1 else tuple(u for u in range(1, m) if math.gcd(u, m) == 1)
             for m in moduli
@@ -120,14 +131,19 @@ class AutomorphismTable:
                 f"no diagonal unit tuple matches gcd for support {key} at n={n}"
             )
         return UnitAutomorphism(
-            support=key, pairs=pairs, moduli=moduli, units=tuple(picked)
+            support=key,
+            pairs=pairs,
+            moduli=moduli,
+            units=tuple(picked),
+            coeffs=coeffs,
+            step=step,
         )
 
     def _assert_valid(self, aut: UnitAutomorphism) -> None:
         n = self._tables.params.n
-        _, moduli, coeffs, target = self._congruence_data(aut.support)
-        if moduli != aut.moduli:
-            raise InternalError("stored moduli drifted from the coset table")
+        _, moduli, coeffs, step = self._congruence_data(aut.support)
+        if (moduli, coeffs, step) != (aut.moduli, aut.coeffs, aut.step):
+            raise InternalError("stored congruence data drifted from the coset table")
         acc = 0
         for u, m, c in zip(aut.units, moduli, coeffs):
             if m == 1:
@@ -136,5 +152,5 @@ class AutomorphismTable:
             elif math.gcd(u, m) != 1:
                 raise InternalError("stored coordinate is not a unit")
             acc = (acc + c * u) % n
-        if acc != target:
+        if acc != step % n:
             raise InternalError("stored unit tuple no longer satisfies its congruence")

@@ -10,17 +10,24 @@ Forward direction, per word:
  5. color value at v = sum_i weight_i * digit_i(v).
 
 A necklace maps to the image of the unique rotation of its word whose
-function has weighted sum 0 (mod n); the calibration in step 3 makes the
-weighted sum step through all candidate residues as the word rotates, so
-exactly one rotation qualifies.  Every step is invertible, which is what
-unmap_function walks backwards.
+function has weighted sum 0 (mod n).  That rotation is solved for, not
+searched: an unsupported coset adds 0 to the weighted sum and a supported
+one adds w_i * rep * aligned_turns, and the calibration in step 3 makes
+rotating the word by k places give
+
+    ws(k) = ws0 + k * g  (mod n),   g = gcd(n, supported reps),
+
+while the word's least period is n / g.  So k = -ws0 / g (mod n / g) names
+exactly one rotation, and its profile comes from the word's own profile
+by the shift law (dlog.rotate_profile).  Every step is invertible, which
+is what unmap_function walks backwards.
 """
 
 from __future__ import annotations
 
 from .automorphism import UnitAutomorphism
 from .decomposition import CosetTable, crt_combine, orbit_canonical, shift
-from .dlog import ResidueProfile, profile
+from .dlog import ResidueProfile, profile, rotate_profile
 from .errors import (
     InternalError,
     NotInFError,
@@ -44,13 +51,18 @@ def check_function(tables: CosetTable, values) -> tuple[int, ...]:
     return values
 
 
+def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism) -> tuple[int, ...]:
+    """Rotation counters of the supported cosets after calibration."""
+    return aut.apply(tuple(prof.entry(i, j).turns for i, j in aut.pairs))
+
+
 def encode_components(
     tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism
 ) -> list[list[int]]:
     """Per-factor digit functions for one word, positions via coset orbits."""
     n = tables.params.n
     comps = [[None] * n for _ in tables.blocks]
-    aligned = aut.apply(tuple(prof.entry(i, j).turns for i, j in aut.pairs))
+    aligned = aligned_turns(prof, aut)
 
     for i, block in enumerate(tables.blocks):
         qi = block.factor.value
@@ -130,26 +142,34 @@ def map_necklace(tables: CosetTable, word) -> tuple[int, ...]:
     """Image of the necklace through the unique zero-sum rotation.
 
     Rotation-invariant: any representative of the orbit gives the same
-    function.  Exactly one distinct rotation must pass the weighted-sum
-    test; anything else is a broken invariant.
+    function.  The word is profiled once; with ws0 the weighted sum of its
+    own image and g the calibration step, the zero-sum rotation is
+    k = -ws0 / g (mod n / g), and only that rotation is encoded.  g must
+    divide ws0, n / g must be a period of the word, and the image must
+    have weighted sum 0; anything else is a broken invariant.
     """
     word = tables.check_word(word)
     n = tables.params.n
-    seen = set()
-    hits = []
-    for k in range(n):
-        rotated = shift(word, k)
-        if rotated in seen:
-            continue
-        seen.add(rotated)
-        image = encode_word(tables, rotated)
-        if weighted_sum(n, image) == 0:
-            hits.append(image)
-    if len(hits) != 1:
+    prof = profile(tables, word)
+    aut = tables.automorphisms.for_support(prof.support)
+    ws0 = sum(c * a for c, a in zip(aut.coeffs, aligned_turns(prof, aut))) % n
+    g = aut.step
+    if ws0 % g:
         raise UniquenessViolationError(
-            f"{len(hits)} rotations passed the weighted-sum test; expected exactly 1"
+            f"weighted sum {ws0} is not a multiple of the step {g}; no rotation reaches 0"
         )
-    return hits[0]
+    period = n // g
+    if shift(word, period) != word:
+        raise UniquenessViolationError(
+            f"n/g = {period} is not a period of the word; several rotations reach 0"
+        )
+    k = -(ws0 // g) % period
+    image = combine_components(
+        tables, encode_components(tables, rotate_profile(tables, prof, k), aut)
+    )
+    if weighted_sum(n, image) != 0:
+        raise UniquenessViolationError("the solved rotation has a nonzero weighted sum")
+    return image
 
 
 def unmap_function(tables: CosetTable, values) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
 """Discrete logs of word residues and their rotation/offset split.
 
 In each quotient field the log of a nonzero residue splits as
-log = turns * x_exponent + offset.  Rotating the word by one place adds
-x_exponent to the log, so `turns` advances by one (mod rotation_order)
-while `offset` never moves; offset is the rotation-invariant part.
+log = turns * x_exponent + offset.  Rotating the word by one place
+multiplies every residue by x_class = generator**x_exponent, so it adds
+x_exponent to the log: `turns` advances by one (mod rotation_order) while
+`offset` never moves; offset is the rotation-invariant part.  This shift
+law holds on every support (zero residues stay zero), and rotate_profile
+applies it.
 """
 
 from __future__ import annotations
@@ -60,3 +63,18 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
             entries[(i, j)] = DlogEntry(log=log, turns=turns, offset=offset)
         support.append(tuple(live))
     return ResidueProfile(support=tuple(support), entries=entries)
+
+
+def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueProfile:
+    """Profile of the word shifted by k places, from the word's own profile.
+
+    Equals profile(tables, shift(word, k)) by the shift law, without
+    splitting the shifted word again or taking any discrete log.
+    """
+    entries = {}
+    for (i, j), entry in prof.entries.items():
+        qctx = tables.blocks[i].quotients[j]
+        turns = (entry.turns + k) % qctx.rotation_order
+        log = turns * qctx.x_exponent + entry.offset
+        entries[(i, j)] = DlogEntry(log=log, turns=turns, offset=entry.offset)
+    return ResidueProfile(support=prof.support, entries=entries)

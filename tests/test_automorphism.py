@@ -1,21 +1,23 @@
+from dataclasses import replace
 from itertools import product
 
 import math
 import pytest
 
 from necklacemap.decomposition import build_tables
-from necklacemap.errors import NoSolutionError
+from necklacemap.errors import InternalError, NoSolutionError
 from necklacemap.numtheory import RingParams, gcd_of_set
 
 
 def congruence_holds(tables, aut):
     n = tables.params.n
     reps = [tables.blocks[i].cosets[j].rep for i, j in aut.pairs]
-    lhs = sum(
-        tables.params.weights[i] * tables.blocks[i].cosets[j].rep * u
-        for (i, j), u in zip(aut.pairs, aut.units)
+    coeffs = tuple(
+        tables.params.weights[i] * tables.blocks[i].cosets[j].rep % n for i, j in aut.pairs
     )
-    return lhs % n == gcd_of_set(n, reps) % n
+    lhs = sum(c * u for c, u in zip(coeffs, aut.units))
+    step = gcd_of_set(n, reps)
+    return (aut.coeffs, aut.step) == (coeffs, step) and lhs % n == step % n
 
 
 class TestSolve:
@@ -62,6 +64,12 @@ class TestSolve:
         a1 = t.automorphisms.for_support(((1,), (1,)))
         a2 = t.automorphisms.for_support(((1,), (1,)))
         assert a1 is a2
+
+    def test_drifted_step_is_caught(self, tables_for):
+        t = tables_for(3, 10)
+        aut = t.automorphisms.for_support(((1,), (1,)))
+        with pytest.raises(InternalError):
+            t.automorphisms._assert_valid(replace(aut, step=aut.step + 3))
 
     def test_normalizes_support(self, tables_for):
         t = tables_for(3, 10)

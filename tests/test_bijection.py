@@ -1,9 +1,12 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from necklacemap import bijection
+from necklacemap.automorphism import AutomorphismTable
 from necklacemap.bijection import (
     combine_components,
     encode_components,
@@ -16,9 +19,10 @@ from necklacemap.bijection import (
 )
 from necklacemap.decomposition import orbit_canonical, shift
 from necklacemap.dlog import profile
-from necklacemap.errors import NotInFError
+from necklacemap.errors import NecklaceMapError, NotInFError, UniquenessViolationError
 from necklacemap.numtheory import gcd_of_set
-from necklacemap.oracle import enum_functions
+from necklacemap.oracle import enum_functions, enum_necklaces
+from reference import map_necklace_by_trial
 
 
 class TestWeightedSum:
@@ -104,6 +108,59 @@ class TestMapNecklace:
         t = tables_for(4, 1)
         assert map_necklace(t, (0, 0, 0, 0)) == (0, 0, 0, 0)
         assert unmap_function(t, (0, 0, 0, 0)) == (0, 0, 0, 0)
+
+
+def outcome(map_fn, tables, word):
+    try:
+        return "image", map_fn(tables, word)
+    except NecklaceMapError as exc:
+        return "raises", type(exc)
+
+
+class TestAgainstTrialMap:
+    @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2), (5, 6)])
+    def test_every_necklace_of_the_certification_pairs(self, tables_for, n, q):
+        t = tables_for(n, q)
+        for word in enum_necklaces(n, q):
+            assert map_necklace(t, word) == map_necklace_by_trial(t, word)
+
+    def test_every_word_of_the_calibration_gap(self, tables_for):
+        # (4,5) has strata without a diagonal calibration; both maps must
+        # fail there with the same error and agree everywhere else
+        t = tables_for(4, 5)
+        kinds = set()
+        for word in product(range(5), repeat=4):
+            result = outcome(map_necklace, t, word)
+            assert result == outcome(map_necklace_by_trial, t, word)
+            kinds.add(result[0])
+        assert kinds == {"image", "raises"}
+
+
+class TestSolveGuards:
+    def test_least_period_is_n_over_step(self, tables_for):
+        for n, q in [(3, 10), (5, 4), (9, 2)]:
+            t = tables_for(n, q)
+            for word in product(range(q), repeat=n):
+                step = t.automorphisms.for_support(profile(t, word).support).step
+                least = next(d for d in range(1, n + 1) if shift(word, d) == word)
+                assert least == n // step
+
+    def test_wrong_rotation_is_caught(self, tables_for, monkeypatch):
+        real = bijection.rotate_profile
+        monkeypatch.setattr(
+            bijection, "rotate_profile", lambda t, prof, k: real(t, prof, k + 1)
+        )
+        with pytest.raises(UniquenessViolationError):
+            map_necklace(tables_for(5, 4), (0, 1, 2, 3, 0))
+
+    def test_wrong_step_is_caught(self, tables_for, monkeypatch):
+        real = AutomorphismTable.for_support
+        monkeypatch.setattr(
+            AutomorphismTable, "for_support", lambda self, s: replace(real(self, s), step=3)
+        )
+        # period 9, so the true step is 1: a step of 3 fails one of the checks
+        with pytest.raises(UniquenessViolationError):
+            map_necklace(tables_for(9, 2), (1, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
 class TestUnmap:

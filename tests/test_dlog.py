@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from necklacemap.decomposition import shift
-from necklacemap.dlog import dlog, profile, split_log
+from necklacemap.dlog import dlog, profile, rotate_profile, split_log
 from necklacemap.errors import ZeroElementError
 
 
@@ -113,3 +113,14 @@ def test_rotation_law_exhaustive(tables_for, n, q):
                     b0, bk = base.entry(i, j), rotated.entry(i, j)
                     assert bk.turns == (k + b0.turns) % qc.rotation_order
                     assert bk.offset == b0.offset
+
+
+@pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2)])
+def test_rotate_profile_matches_shifted_word(tables_for, n, q):
+    """The shift law on every support: partial supports and words whose
+    period is shorter than n included, which the verifier does not check."""
+    tables = tables_for(n, q)
+    profiles = {w: profile(tables, w) for w in product(range(q), repeat=n)}
+    for word, prof in profiles.items():
+        for k in range(n):
+            assert rotate_profile(tables, prof, k) == profiles[shift(word, k)]
