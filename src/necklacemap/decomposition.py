@@ -271,9 +271,3 @@ def orbit_canonical(word) -> tuple[int, ...]:
     """Lexicographically smallest rotation; the orbit representative."""
     word = tuple(word)
     return min(shift(word, k) for k in range(len(word)))
-
-
-def verify_split_consistency(tables: CosetTable, word) -> None:
-    """Round-trip self-check used by tests and the verifier."""
-    if crt_combine(tables, crt_split(tables, word)) != tables.check_word(word):
-        raise InternalError("CRT split/combine round trip failed")

@@ -35,11 +35,6 @@ class ResidueProfile:
         return self.entries[(i, j)]
 
 
-def dlog(qctx: QuotientFieldCtx, y) -> int:
-    """Discrete log of y base the quotient's constrained generator."""
-    return qctx.dlog(y)
-
-
 def split_log(qctx: QuotientFieldCtx, log: int) -> tuple[int, int]:
     """(turns, offset) with log = turns * x_exponent + offset."""
     if not 0 <= log < max(qctx.group_order, 1):

@@ -14,7 +14,7 @@ constant upward.  That keeps the whole construction reproducible.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Union
+from typing import Union
 
 from . import polys
 from .errors import (
@@ -35,7 +35,6 @@ class PrimeField:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
-        self.char = p
         self.degree = 1
         self.order = p
         self.zero = 0
@@ -69,15 +68,6 @@ class PrimeField:
     def to_index(self, a: int) -> int:
         return a % self.p
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -85,15 +75,14 @@ class PrimeField:
 class ExtensionField:
     """base[x] modulo a monic irreducible; elements are coefficient tuples."""
 
-    def __init__(self, base, modulus: tuple, check: bool = True):
+    def __init__(self, base, modulus: tuple):
         if len(modulus) < 2 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 1")
-        if check and not polys.is_irreducible(base, modulus):
+        if not polys.is_irreducible(base, modulus):
             raise ValueError("modulus is reducible")
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
-        self.char = base.char
         self.order = base.order**self.degree
         self.zero = (base.zero,) * self.degree
         self.one = self._pad((base.one,))
@@ -112,10 +101,6 @@ class ExtensionField:
     def from_poly(self, coeffs) -> tuple:
         """Reduce a coefficient sequence over the base field to an element."""
         return self._pad(polys.mod(self.base, polys.trim(self.base, coeffs), self.modulus))
-
-    def embed(self, c) -> tuple:
-        """Image of a base-field element under the canonical inclusion."""
-        return self._pad((c,))
 
     def in_base(self, a: tuple):
         """Return the base-field preimage of a, or None if a is not constant."""
@@ -187,19 +172,6 @@ class ExtensionField:
             i = i * base.order + base.to_index(c)
         return i
 
-    def elements(self) -> Iterator[tuple]:
-        return (self.from_index(i) for i in range(self.order))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtensionField)
-            and other.base == self.base
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ExtensionField", self.base, self.modulus))
-
     def __repr__(self):
         return f"ExtensionField(order={self.order}, base={self.base!r})"
 
@@ -270,9 +242,6 @@ def find_primitive(field):
     raise InternalError("no primitive element found")  # pragma: no cover
 
 
-_BRUTE_FORCE_LIMIT = 1 << 10
-
-
 def baby_table(field, g, order: int) -> dict:
     """Baby steps for BSGS: element -> exponent, for exponents < ceil(sqrt(order))."""
     m = math.isqrt(order - 1) + 1
@@ -284,25 +253,16 @@ def baby_table(field, g, order: int) -> dict:
     return table
 
 
-def discrete_log(field, g, y, order: int, babies: dict | None = None) -> int:
-    """Smallest k >= 0 with g**k = y, given that the order of g is `order`.
+def discrete_log(field, g, y, order: int, babies: dict) -> int:
+    """Log of y to the base g, in [0, order), where g has order `order`.
 
-    Baby-step giant-step when a table is supplied or the group is large;
-    plain scan below the brute-force cutoff.
+    Baby-step giant-step (Shanks, 1971) over babies = baby_table(field, g,
+    order); the giant step g**(order - m) equals g**-m but costs one pow.
     """
     if y == field.zero:
         raise ZeroElementError("zero is outside the unit group")
-    if babies is None and order < _BRUTE_FORCE_LIMIT:
-        acc = field.one
-        for k in range(order):
-            if acc == y:
-                return k
-            acc = field.mul(acc, g)
-        raise InternalError("element is not a power of the base")
-    if babies is None:
-        babies = baby_table(field, g, order)
     m = math.isqrt(order - 1) + 1
-    giant = field.pow(g, -m)
+    giant = field.pow(g, order - m)
     acc = y
     for i in range(m + 1):
         j = babies.get(acc)
@@ -319,7 +279,8 @@ class QuotientFieldCtx:
     n / gcd(n, rep) where rep is the minimal representative of the
     matching coset of residues.  `generator` is the canonical cyclic
     generator whose x_exponent-th power equals x_class; discrete logs are
-    taken in that base.
+    taken in that base by baby-step giant-step over a baby table built here,
+    whatever the size of the unit group.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
@@ -344,18 +305,15 @@ class QuotientFieldCtx:
 
         self.generator = self._pick_generator()
         self._check_generator()
-        self._babies = (
-            baby_table(self.field, self.generator, self.group_order)
-            if self.group_order >= _BRUTE_FORCE_LIMIT
-            else None
-        )
+        self._babies = baby_table(self.field, self.generator, self.group_order)
 
     def _pick_generator(self):
         """Smallest power of the canonical primitive that both generates the
         unit group and lands on x_class at the prescribed exponent."""
         n_units = self.group_order
         primitive = find_primitive(self.field)
-        target = discrete_log(self.field, primitive, self.x_class, n_units)
+        babies = baby_table(self.field, primitive, n_units)
+        target = discrete_log(self.field, primitive, self.x_class, n_units, babies)
         e = self.x_exponent
         if target % e != 0:
             raise InternalError("log of the class of x is not divisible by its exponent")

@@ -73,23 +73,6 @@ def factorize(m: int, order: str = "desc") -> list[PrimePowerFactor]:
     return factors
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    if old_r == 0:
-        return 0, 0, 0
-    return old_r, old_x, old_y
-
-
 def mult_order(a: int, m: int) -> int:
     """Smallest k >= 1 with a**k = 1 (mod m); requires gcd(a, m) = 1."""
     if m < 1:

@@ -24,9 +24,17 @@ DEFAULT_ENVELOPE = 10**8
 
 
 def _check_envelope(n: int, q: int, limit: int) -> None:
-    if n * q**n > limit:
+    """Refuse n*q^n > limit without building q**n when bit lengths decide it.
+
+    n*q^n >= 2**((n.bit_length() - 1) + n*(q.bit_length() - 1)), so that
+    exponent reaching limit.bit_length() already exceeds the limit; below
+    it, q**n has at most about twice limit's bits.  The product never goes
+    into the message: it may have more digits than int-to-str allows.
+    """
+    low_bits = (n.bit_length() - 1) + n * (q.bit_length() - 1)
+    if low_bits >= limit.bit_length() or n * q**n > limit:
         raise EnvelopeExceededError(
-            f"n*q^n = {n * q**n} exceeds the enumeration envelope {limit}"
+            f"n*q^n for n={n}, q={q} exceeds the enumeration envelope {limit}"
         )
 
 

@@ -21,10 +21,6 @@ def degree(poly) -> int:
     return len(poly) - 1
 
 
-def constant(field, c) -> tuple:
-    return trim(field, (c,))
-
-
 def x(field) -> tuple:
     return (field.zero, field.one)
 

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from necklacemap.cli import main
 from necklacemap.decomposition import build_tables, crt_combine
@@ -73,6 +76,16 @@ class TestExitCodes:
         assert run(capsys, "unmap", "3", "10", "0,1,0")[0] == 1  # weighted sum 1
         assert run(capsys, "zero-sum-count", "6")[0] == 1  # even length
         assert run(capsys, "verify", "3", "10", "--envelope", "10")[0] == 1
+
+    @pytest.mark.parametrize("n", ["5001", "20000001"])
+    def test_verify_far_past_the_envelope_exits_1_fast(self, capsys, n):
+        # q**n has more digits than int-to-str allows (n = 5001) or takes
+        # minutes to build (n = 20000001); neither may be needed to refuse
+        started = time.perf_counter()
+        code, _, err = run(capsys, "verify", n, "10")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert "exceeds the enumeration envelope" in err
 
     def test_invariant_violation_exits_3(self, capsys):
         # (4,15) stratum that defeats the diagonal unit search: the failure

@@ -131,14 +131,15 @@ class TestOrders:
 
 
 class TestDiscreteLog:
-    def test_brute_force_path(self):
+    def test_prime_field_group(self):
         f = PrimeField(101)
         g = find_primitive(f)
+        babies = baby_table(f, g, 100)
         for k in range(0, 100, 7):
-            assert discrete_log(f, g, f.pow(g, k), 100) == k
+            assert discrete_log(f, g, f.pow(g, k), 100, babies) == k
 
     def test_bsgs_path(self):
-        f = build_field(2, 11)  # order 2047 exceeds the brute-force cutoff
+        f = build_field(2, 11)  # unit group of order 2047, a 46-entry baby table
         g = find_primitive(f)
         babies = baby_table(f, g, 2047)
         for k in [0, 1, 2, 100, 1023, 2046]:
@@ -147,7 +148,7 @@ class TestDiscreteLog:
     def test_zero_rejected(self):
         f = PrimeField(5)
         with pytest.raises(ZeroElementError):
-            discrete_log(f, 2, 0, 4)
+            discrete_log(f, 2, 0, 4, baby_table(f, 2, 4))
 
 
 class TestQuotientCtx:

@@ -9,7 +9,6 @@ from necklacemap.numtheory import (
     PrimePowerFactor,
     RingParams,
     euler_phi,
-    ext_gcd,
     factorize,
     gcd_of_set,
     is_prime,
@@ -68,36 +67,6 @@ class TestFactorize:
         assert math.prod(f.value for f in fs) == m
         assert all(is_prime(f.p) for f in fs)
         assert len({f.p for f in fs}) == len(fs)
-
-
-class TestExtGcd:
-    def test_zero_zero(self):
-        assert ext_gcd(0, 0) == (0, 0, 0)
-
-    def test_six_four(self):
-        g, x, y = ext_gcd(6, 4)
-        assert g == 2 and 6 * x + 4 * y == 2
-
-    def test_240_46(self):
-        g, x, y = ext_gcd(240, 46)
-        assert g == 2 and 240 * x + 46 * y == g
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    @settings(max_examples=500, deadline=None)
-    def test_bezout_identity(self, a, b):
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-    def test_bezout_ten_thousand_seeded_pairs(self):
-        import random
-
-        rng = random.Random(20240811)
-        for _ in range(10_000):
-            a = rng.randint(-10**12, 10**12)
-            b = rng.randint(-10**12, 10**12)
-            g, x, y = ext_gcd(a, b)
-            assert g == math.gcd(a, b) and a * x + b * y == g
 
 
 class TestMultOrder:
