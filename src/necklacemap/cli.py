@@ -101,6 +101,20 @@ def _parse_colors(text: str, n: int) -> tuple[int, ...]:
     return values
 
 
+def _decimal(value: int) -> str:
+    """Decimal digits of a count of any size.
+
+    str() refuses ints past the interpreter's int-to-str digit limit (4300
+    by default, 640 at the lowest); below 2000 bits it is used as is, above
+    that the value is split at a power of ten into two halves that recurse.
+    """
+    if value.bit_length() < 2000:
+        return str(value)
+    k = value.bit_length() * 3 // 20  # about half of the decimal digits
+    high, low = divmod(value, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -243,21 +257,21 @@ def _run_unmap(args) -> int:
 
 def _run_count(args) -> int:
     params = RingParams.create(args.n, args.q, args.factor_order)
-    total = necklace_count(args.n, args.q)
+    total = _decimal(necklace_count(args.n, args.q))
     lines = [f"necklaces({args.n},{args.q}) = {total}"]
-    result: dict = {"necklaces": str(total)}
+    result: dict = {"necklaces": total}
     config: dict
     if args.strata:
         tables = build_tables(params)
         strata = []
         lines.append("strata:")
         for key in stratum_keys(tables):
-            size = stratum_count(tables, key)
+            size = _decimal(stratum_count(tables, key))
             lines.append(f"  {_support_str(key)}: {size}")
             strata.append(
                 {
                     "support": [[j + 1 for j in idxs] for idxs in key],
-                    "count": str(size),
+                    "count": size,
                 }
             )
         result["strata"] = strata
@@ -292,8 +306,8 @@ def _run_verify(args) -> int:
 
 
 def _run_zero_sum_count(args) -> int:
-    total = binary_zero_sum_count(args.n)
-    result = {"count": str(total)}
+    total = _decimal(binary_zero_sum_count(args.n))
+    result = {"count": total}
     payload = _envelope_payload(
         "zero-sum-count", args.n, None, result, {"factor_order": args.factor_order}
     )

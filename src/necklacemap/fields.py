@@ -309,20 +309,20 @@ class QuotientFieldCtx:
 
     def _pick_generator(self):
         """Smallest power of the canonical primitive that both generates the
-        unit group and lands on x_class at the prescribed exponent."""
+        unit group and lands on x_class at the prescribed exponent.  The
+        start u solves (primitive**x_exponent)**u == x_class by a walk."""
         n_units = self.group_order
         primitive = find_primitive(self.field)
-        babies = baby_table(self.field, primitive, n_units)
-        target = discrete_log(self.field, primitive, self.x_class, n_units, babies)
-        e = self.x_exponent
-        if target % e != 0:
-            raise InternalError("log of the class of x is not divisible by its exponent")
-        u = target // e
-        step = n_units // e
+        h = self.field.pow(primitive, self.x_exponent)
+        u, acc = 0, self.field.one
+        while acc != self.x_class:
+            u, acc = u + 1, self.field.mul(acc, h)
+            if u == self.rotation_order:
+                raise InternalError("class of x lies outside the subgroup of its order")
         for _ in range(n_units + 1):
             if math.gcd(u, n_units) == 1:
                 return self.field.pow(primitive, u)
-            u += step
+            u += self.rotation_order
         raise InternalError("no unit exponent reaches the class of x")  # pragma: no cover
 
     def _check_generator(self):

@@ -62,8 +62,9 @@ def _shift_lemma_holds(tables: CosetTable) -> bool:
     """Rotation law of the log split, checked exhaustively.
 
     Part one: for the bare word x, every supported coset shows one turn and
-    zero offset.  Part two: on every fully-supported word, rotating by k
-    adds k to the turns (mod rotation_order) and never moves the offset.
+    zero offset.  Part two: on every fully-supported word, one shift adds one
+    to the turns (mod rotation_order) and keeps the offset; by induction over
+    all words, so does a shift by k.
     """
     n, q = tables.params.n, tables.params.q
     full = _full_support(tables)
@@ -84,18 +85,17 @@ def _shift_lemma_holds(tables: CosetTable) -> bool:
         base = profile(tables, word)
         if base.support != full:
             continue
-        for k in range(1, n):
-            rotated = profile(tables, shift(word, k))
-            if rotated.support != full:
-                return False
-            for i, block in enumerate(tables.blocks):
-                for j, qctx in enumerate(block.quotients):
-                    b0 = base.entry(i, j)
-                    bk = rotated.entry(i, j)
-                    if bk.turns % qctx.rotation_order != (k + b0.turns) % qctx.rotation_order:
-                        return False
-                    if bk.offset != b0.offset:
-                        return False
+        rotated = profile(tables, shift(word, 1))
+        if rotated.support != full:
+            return False
+        for i, block in enumerate(tables.blocks):
+            for j, qctx in enumerate(block.quotients):
+                b0 = base.entry(i, j)
+                b1 = rotated.entry(i, j)
+                if b1.turns % qctx.rotation_order != (1 + b0.turns) % qctx.rotation_order:
+                    return False
+                if b1.offset != b0.offset:
+                    return False
     return True
 
 

@@ -1,14 +1,25 @@
-"""Reference forward map: encode every distinct rotation and keep the one
-with weighted sum 0.
+"""Direct readings of the definitions that the library takes shortcuts on.
 
-This is the direct reading of the definition, n encodings per word.  The
-library's map_necklace solves for the rotation instead; tests compare the
-two.
+- map_necklace_by_trial encodes every distinct rotation and keeps the one
+  with weighted sum 0, n encodings per word; the library's map_necklace
+  solves for the rotation instead.
+- shift_lemma_holds_all_k profiles every rotation by k of every fully
+  supported word; the library's verifier checks the one-step law.
+- generator_by_log takes the log of x_class to the base of the canonical
+  primitive by BSGS; QuotientFieldCtx walks the powers of
+  primitive**x_exponent instead.
+
+Tests compare each pair.
 """
 
+import math
+from itertools import product
+
+from necklacemap import dlog
 from necklacemap.bijection import encode_word, weighted_sum
 from necklacemap.decomposition import CosetTable, shift
-from necklacemap.errors import UniquenessViolationError
+from necklacemap.errors import InternalError, UniquenessViolationError
+from necklacemap.fields import QuotientFieldCtx, baby_table, discrete_log, find_primitive
 
 
 def map_necklace_by_trial(tables: CosetTable, word) -> tuple[int, ...]:
@@ -34,3 +45,69 @@ def map_necklace_by_trial(tables: CosetTable, word) -> tuple[int, ...]:
             f"{len(hits)} rotations passed the weighted-sum test; expected exactly 1"
         )
     return hits[0]
+
+
+def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
+    """Rotation law of the log split, checked for every k in 1..n-1.
+
+    Part one: for the bare word x, every supported coset shows one turn and
+    zero offset.  Part two: on every fully-supported word, rotating by k
+    adds k to the turns (mod rotation_order) and never moves the offset.
+    Profiles come from dlog.profile, looked up at call time.
+    """
+    n, q = tables.params.n, tables.params.q
+    full = tuple(tuple(range(len(block.cosets))) for block in tables.blocks)
+
+    word_x = (1 % q,) if n == 1 else (0, 1 % q) + (0,) * (n - 2)
+    prof_x = dlog.profile(tables, word_x)
+    if prof_x.support != full:
+        return False
+    for i, block in enumerate(tables.blocks):
+        for j, qctx in enumerate(block.quotients):
+            entry = prof_x.entry(i, j)
+            if entry.turns % qctx.rotation_order != 1 % qctx.rotation_order:
+                return False
+            if entry.offset != 0:
+                return False
+
+    for word in product(range(q), repeat=n):
+        base = dlog.profile(tables, word)
+        if base.support != full:
+            continue
+        for k in range(1, n):
+            rotated = dlog.profile(tables, shift(word, k))
+            if rotated.support != full:
+                return False
+            for i, block in enumerate(tables.blocks):
+                for j, qctx in enumerate(block.quotients):
+                    b0 = base.entry(i, j)
+                    bk = rotated.entry(i, j)
+                    if bk.turns % qctx.rotation_order != (k + b0.turns) % qctx.rotation_order:
+                        return False
+                    if bk.offset != b0.offset:
+                        return False
+    return True
+
+
+def generator_by_log(qctx: QuotientFieldCtx):
+    """The constrained generator of one quotient field, from a full log.
+
+    Log x_class to the base of the canonical primitive, divide by
+    x_exponent, then step by group_order / x_exponent until the exponent is
+    a unit mod group_order.
+    """
+    field = qctx.field
+    n_units = qctx.group_order
+    primitive = find_primitive(field)
+    babies = baby_table(field, primitive, n_units)
+    target = discrete_log(field, primitive, qctx.x_class, n_units, babies)
+    e = qctx.x_exponent
+    if target % e != 0:
+        raise InternalError("log of the class of x is not divisible by its exponent")
+    u = target // e
+    step = n_units // e
+    for _ in range(n_units + 1):
+        if math.gcd(u, n_units) == 1:
+            return field.pow(primitive, u)
+        u += step
+    raise InternalError("no unit exponent reaches the class of x")

@@ -56,6 +56,33 @@ class TestBasics:
         code, out, _ = run(capsys, "zero-sum-count", "5")
         assert code == 0 and "zero-sum subsets of Z_5 = 8" in out
 
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            (("count", "20001", "2"), "necklaces(20001,2) = "),
+            (("zero-sum-count", "20001"), "zero-sum subsets of Z_20001 = "),
+        ],
+    )
+    def test_counts_past_the_int_to_str_digit_limit(self, capsys, argv, prefix):
+        # 2-colored necklaces of odd length n and zero-sum subsets of Z_n
+        # share the closed form (1/n) * sum over d | n of phi(d) * 2^(n/d)
+        n = 20001  # 3 * 59 * 113
+        phi = {1: 1, 3: 2, 59: 58, 113: 112, 177: 116, 339: 224, 6667: 6496, 20001: 12992}
+        expected = sum(phi_d * 2 ** (n // d) for d, phi_d in phi.items()) // n
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        line = out.strip()
+        assert line.startswith(prefix)
+        digits = line[len(prefix) :]
+        assert digits.isdigit() and digits[0] != "0" and len(digits) > 4300
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == expected
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and digits in json.loads(out)["result"].values()
+
     def test_verify(self, capsys):
         code, out, err = run(capsys, "verify", "3", "2")
         assert code == 0

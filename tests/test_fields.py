@@ -3,6 +3,7 @@ import math
 import pytest
 
 from necklacemap import polys
+from necklacemap.decomposition import build_tables, cyclotomic_cosets
 from necklacemap.errors import NotPrimeError, OrderMismatchError, ZeroElementError
 from necklacemap.fields import (
     ExtensionField,
@@ -15,6 +16,8 @@ from necklacemap.fields import (
     extend_field,
     find_primitive,
 )
+from necklacemap.numtheory import RingParams
+from reference import generator_by_log
 
 
 def small_prime_powers(limit):
@@ -182,7 +185,7 @@ class TestQuotientCtx:
     def test_generator_constraint_across_reps(self):
         # all quotients of x^5 - 1 over F4
         base = build_field(2, 2)
-        from necklacemap.decomposition import cyclotomic_cosets, factor_xn_minus_1
+        from necklacemap.decomposition import factor_xn_minus_1
 
         cosets = cyclotomic_cosets(5, 4)
         for coset, poly in zip(cosets, factor_xn_minus_1(5, base, cosets)):
@@ -190,6 +193,30 @@ class TestQuotientCtx:
             assert element_order(q.field, q.generator) == q.group_order
             assert q.field.pow(q.generator, q.x_exponent) == q.x_class
             assert element_order(q.field, q.x_class) == 5 // math.gcd(5, coset.rep)
+
+    def test_generator_matches_log_derivation(self):
+        # every coprime (n, q) with n <= 15, q <= 10 whose quotient unit
+        # groups all stay at most 728 (3^6 - 1): the walk and the full log
+        # give the same generator in every quotient field
+        seen_t, shared_gcd, rep_zero, compared = set(), 0, 0, 0
+        for q in range(2, 11):
+            for n in range(1, 16):
+                if math.gcd(n, q) != 1:
+                    continue
+                params = RingParams.create(n, q)
+                sizes = [
+                    f.value**c.size - 1 for f in params.factors for c in cyclotomic_cosets(n, f.value)
+                ]
+                if max(sizes) > 728:
+                    continue
+                for block in build_tables(params).blocks:
+                    for qctx in block.quotients:
+                        assert qctx.generator == generator_by_log(qctx), (n, q, qctx.rep)
+                        seen_t.add(block.factor.t)
+                        shared_gcd += qctx.rep_gcd > 1 and qctx.rep != 0
+                        rep_zero += qctx.rep == 0
+                        compared += 1
+        assert {1, 2, 3} <= seen_t and shared_gcd and rep_zero and compared > 100
 
 
 def test_extension_requires_monic():

@@ -1,5 +1,9 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
+from necklacemap import dlog, oracle
 from necklacemap.errors import EnvelopeExceededError
 from necklacemap.oracle import (
     enum_functions,
@@ -7,6 +11,7 @@ from necklacemap.oracle import (
     verify_bijection,
     verify_shift_lemma,
 )
+from reference import shift_lemma_holds_all_k
 
 
 class TestEnumNecklaces:
@@ -91,10 +96,41 @@ class TestVerify:
 
 
 class TestShiftLemma:
-    @pytest.mark.parametrize("n,q", [(3, 10), (1, 7), (7, 2)])
-    def test_holds(self, n, q):
+    @pytest.mark.parametrize("n,q", [(3, 10), (1, 7), (7, 2), (5, 4), (9, 2)])
+    def test_holds(self, tables_for, n, q):
+        # the one-step check and the all-k reference agree
         assert verify_shift_lemma(n, q) is True
+        assert shift_lemma_holds_all_k(tables_for(n, q)) is True
 
     def test_envelope_guard(self):
         with pytest.raises(EnvelopeExceededError):
             verify_shift_lemma(20, 20)
+
+    @pytest.mark.parametrize("field", ["offset", "turns"])
+    def test_perturbed_profile_fails_both_checks(self, tables_for, monkeypatch, field):
+        # one fully supported, non-constant word of (5,4) gets an offset
+        # moved by one, or a turn off by one, on a coset of rotation order 5
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        genuine = dlog.profile
+        target = next(w for w in product(range(4), repeat=5) if genuine(tables, w).support == full)
+        i, j = next(
+            (i, j)
+            for i, block in enumerate(tables.blocks)
+            for j, qctx in enumerate(block.quotients)
+            if qctx.rotation_order > 1
+        )
+
+        def perturbed(tables_arg, word):
+            prof = genuine(tables_arg, word)
+            if tuple(word) != target:
+                return prof
+            entry = prof.entry(i, j)
+            entries = dict(prof.entries)
+            entries[(i, j)] = replace(entry, **{field: getattr(entry, field) + 1})
+            return replace(prof, entries=entries)
+
+        monkeypatch.setattr(oracle, "profile", perturbed)
+        monkeypatch.setattr(dlog, "profile", perturbed)
+        assert oracle._shift_lemma_holds(tables) is False
+        assert shift_lemma_holds_all_k(tables) is False
