@@ -4,9 +4,11 @@ Forward direction, per word:
  1. split: residues in every quotient field, support = nonzero pattern;
  2. discrete logs, split into (turns, offset) per supported coset;
  3. align the turns with the unit automorphism for this support;
- 4. payload per coset = offset * rotation_order + aligned_turns, written
-    as base-q_i digits along the coset orbit; unsupported cosets get the
-    saturated digit q_i - 1 everywhere;
+ 4. every digit starts saturated at q_i - 1, which is what an unsupported
+    coset shows; a supported coset overwrites its orbit with the base-q_i
+    digits of payload = offset * rotation_order + aligned_turns, least
+    significant first (encode_components writes this, live_payloads reads
+    it back);
  5. color value at v = sum_i weight_i * digit_i(v).
 
 A necklace maps to the image of the unique rotation of its word whose
@@ -28,12 +30,7 @@ from __future__ import annotations
 from .automorphism import UnitAutomorphism
 from .decomposition import CosetTable, crt_combine, orbit_canonical, shift
 from .dlog import ResidueProfile, profile, rotate_profile
-from .errors import (
-    InternalError,
-    NotInFError,
-    RangeViolationError,
-    UniquenessViolationError,
-)
+from .errors import NotInFError, RangeViolationError, UniquenessViolationError
 
 
 def weighted_sum(n: int, values) -> int:
@@ -59,36 +56,25 @@ def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism) -> tuple[int, ...
 def encode_components(
     tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism
 ) -> list[list[int]]:
-    """Per-factor digit functions for one word, positions via coset orbits."""
-    n = tables.params.n
-    comps = [[None] * n for _ in tables.blocks]
-    aligned = aligned_turns(prof, aut)
+    """Per-factor digit functions for one word.
 
-    for i, block in enumerate(tables.blocks):
-        qi = block.factor.value
-        supported = set(prof.support[i])
-        for j, (coset, qctx) in enumerate(zip(block.cosets, block.quotients)):
-            if j not in supported:
-                for pos in coset.orbit:
-                    comps[i][pos] = qi - 1
-                continue
-            idx = aut.pairs.index((i, j))
-            payload = prof.entry(i, j).offset * qctx.rotation_order + aligned[idx]
-            if not 0 <= payload < qi**coset.size - 1:
-                raise RangeViolationError(
-                    f"digit payload {payload} escapes [0, {qi**coset.size - 1})"
-                )
-            digits = []
-            rest = payload
-            for _ in range(coset.size):
-                rest, d = divmod(rest, qi)
-                digits.append(d)
-            if all(d == qi - 1 for d in digits):
-                raise RangeViolationError("digit block saturated on a supported coset")
-            for u, pos in enumerate(coset.orbit):
-                comps[i][pos] = digits[u]
-        if any(d is None for d in comps[i]):
-            raise InternalError("coset orbits failed to cover every position")
+    Every position starts at q_i - 1, the digit of an unsupported coset.
+    Each supported coset then writes its payload, offset * rotation_order +
+    aligned turns, as base-q_i digits along its orbit, least significant
+    first.  The payload stays below q_i**size - 1, so no supported block is
+    saturated; live_payloads reads the layout back.
+    """
+    comps = [[block.factor.value - 1] * tables.params.n for block in tables.blocks]
+    for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut)):
+        block = tables.blocks[i]
+        qi, coset = block.factor.value, block.cosets[j]
+        payload = prof.entry(i, j).offset * block.quotients[j].rotation_order + aligned
+        if not 0 <= payload < qi**coset.size - 1:
+            raise RangeViolationError(
+                f"digit payload {payload} escapes [0, {qi**coset.size - 1})"
+            )
+        for pos in coset.orbit:
+            payload, comps[i][pos] = divmod(payload, qi)
     return comps
 
 
@@ -116,19 +102,36 @@ def split_components(tables: CosetTable, values) -> list[list[int]]:
     return comps
 
 
-def function_support(tables: CosetTable, values) -> tuple[tuple[int, ...], ...]:
-    """Which cosets are live for a function: digit block not fully saturated."""
-    values = check_function(tables, values)
+def live_payloads(tables: CosetTable, values) -> dict[tuple[int, int], int]:
+    """{(i, j): payload} of every coset whose digit block is not saturated.
+
+    Inverse of the layout encode_components writes: the payload is read
+    from the base-q_i digits along the coset orbit, least significant
+    first, and the all-(q_i - 1) block, payload q_i**size - 1, is absent.
+    """
     comps = split_components(tables, values)
-    support = []
+    payloads = {}
     for i, block in enumerate(tables.blocks):
         qi = block.factor.value
-        live = []
         for j, coset in enumerate(block.cosets):
-            if any(comps[i][pos] != qi - 1 for pos in coset.orbit):
-                live.append(j)
-        support.append(tuple(live))
-    return tuple(support)
+            payload = 0
+            for pos in reversed(coset.orbit):
+                payload = payload * qi + comps[i][pos]
+            if payload != qi**coset.size - 1:
+                payloads[(i, j)] = payload
+    return payloads
+
+
+def _support_of(tables: CosetTable, pairs) -> tuple[tuple[int, ...], ...]:
+    support = [[] for _ in tables.blocks]
+    for i, j in pairs:
+        support[i].append(j)
+    return tuple(tuple(live) for live in support)
+
+
+def function_support(tables: CosetTable, values) -> tuple[tuple[int, ...], ...]:
+    """Which cosets are live for a function: digit block not fully saturated."""
+    return _support_of(tables, live_payloads(tables, check_function(tables, values)))
 
 
 def encode_word(tables: CosetTable, word) -> tuple[int, ...]:
@@ -179,41 +182,19 @@ def unmap_function(tables: CosetTable, values) -> tuple[int, ...]:
     if weighted_sum(n, values) != 0:
         raise NotInFError("weighted sum is nonzero mod n; no necklace maps here")
 
-    comps = split_components(tables, values)
-    support = []
-    aligned_parts = {}
-    offsets = {}
-    for i, block in enumerate(tables.blocks):
-        qi = block.factor.value
-        live = []
-        for j, (coset, qctx) in enumerate(zip(block.cosets, block.quotients)):
-            digits = [comps[i][pos] for pos in coset.orbit]
-            if all(d == qi - 1 for d in digits):
-                continue
-            payload = 0
-            for d in reversed(digits):
-                payload = payload * qi + d
-            offset, aligned = divmod(payload, qctx.rotation_order)
-            if offset >= qctx.x_exponent:
-                raise RangeViolationError("offset part escapes its range")
-            live.append(j)
-            aligned_parts[(i, j)] = aligned
-            offsets[(i, j)] = offset
-        support.append(tuple(live))
+    parts = {}
+    for (i, j), payload in live_payloads(tables, values).items():
+        qctx = tables.blocks[i].quotients[j]
+        offset, aligned = divmod(payload, qctx.rotation_order)
+        if offset >= qctx.x_exponent:
+            raise RangeViolationError("offset part escapes its range")
+        parts[(i, j)] = offset, aligned
 
-    aut = tables.automorphisms.for_support(tuple(support))
-    turns = aut.apply_inv(tuple(aligned_parts[p] for p in aut.pairs))
-
-    residues = []
-    for i, block in enumerate(tables.blocks):
-        group = []
-        for j, qctx in enumerate(block.quotients):
-            if (i, j) not in aligned_parts:
-                group.append(qctx.field.zero)
-                continue
-            idx = aut.pairs.index((i, j))
-            log = turns[idx] * qctx.x_exponent + offsets[(i, j)]
-            group.append(qctx.field.pow(qctx.generator, log))
-        residues.append(tuple(group))
-
+    aut = tables.automorphisms.for_support(_support_of(tables, parts))
+    turns = aut.apply_inv(tuple(parts[pair][1] for pair in aut.pairs))
+    residues = [[qctx.field.zero for qctx in block.quotients] for block in tables.blocks]
+    for (i, j), turn in zip(aut.pairs, turns):
+        qctx = tables.blocks[i].quotients[j]
+        log = turn * qctx.x_exponent + parts[(i, j)][0]
+        residues[i][j] = qctx.field.pow(qctx.generator, log)
     return orbit_canonical(crt_combine(tables, residues))

@@ -296,9 +296,8 @@ def _run_verify(args) -> int:
             f"certification FAILED: {report.necklace_total} necklaces, "
             f"{report.function_total} functions"
         )
-    tables = build_tables(params)
     payload = _envelope_payload(
-        "verify", args.n, params, report.to_payload(), _config_payload(params, tables)
+        "verify", args.n, params, report.to_payload(), _config_payload(params, report.tables)
     )
     _emit(args, payload, lines)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)

@@ -25,7 +25,7 @@ from .fields import (
     extend_field,
     find_primitive,
 )
-from .numtheory import PrimePowerFactor, RingParams, mult_order
+from .numtheory import PrimePowerFactor, RingParams
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
         raise NotCoprimeError(f"field order {field.order} shares a factor with n={n}")
     if cosets is None:
         cosets = cyclotomic_cosets(n, field.order)
-    span = mult_order(field.order, n)
-    ext = extend_field(field, span)
+    # no coset outgrows the coset of 1, whose size is the order of |field| mod n
+    ext = extend_field(field, max(c.size for c in cosets))
     omega = _root_of_unity(ext, n)
 
     factors = []
@@ -116,16 +116,13 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
         for k in coset.members:
             root = ext.pow(omega, k)
             poly = polys.mul(ext, poly, (ext.neg(root), ext.one))
-        if ext is field:
-            descended = poly
-        else:
-            down = []
-            for c in poly:
-                base_c = ext.in_base(c)
-                if base_c is None:
-                    raise InternalError("factor coefficient escaped the base field")
-                down.append(base_c)
-            descended = polys.trim(field, down)
+        down = []
+        for c in poly:
+            base_c = ext.in_base(c)
+            if base_c is None:
+                raise InternalError("factor coefficient escaped the base field")
+            down.append(base_c)
+        descended = polys.trim(field, down)
         if polys.degree(descended) != coset.size:
             raise InternalError("factor degree does not match its coset")
         factors.append(descended)

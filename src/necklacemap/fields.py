@@ -25,8 +25,6 @@ from .errors import (
 )
 from .numtheory import factorize, is_prime
 
-Element = Union[int, tuple]
-
 
 class PrimeField:
     """The field of integers modulo a prime p; elements are ints."""
@@ -197,18 +195,16 @@ def smallest_irreducible(base, t: int) -> tuple:
 
 def build_field(p: int, t: int) -> Field:
     """The field of order p**t; plain residues for t = 1."""
-    if t < 1:
-        raise ValueError("degree must be positive")
     prime = PrimeField(p)
-    if t == 1:
-        return prime
-    return ExtensionField(prime, smallest_irreducible(prime, t))
+    return prime if t == 1 else extend_field(prime, t)
 
 
-def extend_field(base, t: int) -> Field:
-    """Degree-t extension of an arbitrary field context (identity for t = 1)."""
-    if t == 1:
-        return base
+def extend_field(base, t: int) -> ExtensionField:
+    """Degree-t extension of any field context by its canonical modulus.
+
+    Always a fresh ExtensionField, t = 1 included: its elements are then
+    1-tuples over base, and in_base maps them back down.
+    """
     return ExtensionField(base, smallest_irreducible(base, t))
 
 
@@ -284,12 +280,9 @@ class QuotientFieldCtx:
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
-        self.base = base_field
-        self.modulus = tuple(modulus)
         self.n = n
         self.rep = rep
-        self.size = len(modulus) - 1
-        self.field = ExtensionField(base_field, self.modulus)
+        self.field = ExtensionField(base_field, tuple(modulus))
         self.group_order = self.field.order - 1
         self.rep_gcd = math.gcd(n, rep)
         self.rotation_order = n // self.rep_gcd
@@ -297,7 +290,7 @@ class QuotientFieldCtx:
         self.x_class = self.field.from_poly(polys.x(base_field))
         if element_order(self.field, self.x_class) != self.rotation_order:
             raise OrderMismatchError(
-                f"class of x has wrong order in quotient of degree {self.size}"
+                f"class of x has wrong order in quotient of degree {self.field.degree}"
             )
         if self.group_order * self.rep_gcd % n != 0:
             raise InternalError("rotation order does not divide the unit group order")

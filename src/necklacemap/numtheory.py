@@ -73,23 +73,6 @@ def factorize(m: int, order: str = "desc") -> list[PrimePowerFactor]:
     return factors
 
 
-def mult_order(a: int, m: int) -> int:
-    """Smallest k >= 1 with a**k = 1 (mod m); requires gcd(a, m) = 1."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return 1
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise NotCoprimeError(f"{a} is not a unit modulo {m}")
-    k = 1
-    acc = a
-    while acc != 1:
-        acc = acc * a % m
-        k += 1
-    return k
-
-
 def euler_phi(m: int) -> int:
     """Count of units modulo m."""
     if m < 1:

@@ -10,7 +10,7 @@ the closed-form formulas.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .bijection import function_support, map_necklace, unmap_function, weighted_sum
@@ -133,6 +133,7 @@ class VerificationReport:
     shift_lemma_ok: bool
     stratum_ok: bool
     elapsed: float
+    tables: CosetTable = field(repr=False, compare=False)
 
     @property
     def all_ok(self) -> bool:
@@ -244,4 +245,5 @@ def verify_bijection(
         shift_lemma_ok=shift_lemma_ok,
         stratum_ok=stratum_ok,
         elapsed=time.perf_counter() - started,
+        tables=tables,
     )

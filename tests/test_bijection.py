@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from necklacemap import bijection
 from necklacemap.automorphism import AutomorphismTable
 from necklacemap.bijection import (
+    aligned_turns,
     combine_components,
     encode_components,
     encode_word,
     function_support,
+    live_payloads,
     map_necklace,
     split_components,
     unmap_function,
@@ -19,7 +21,12 @@ from necklacemap.bijection import (
 )
 from necklacemap.decomposition import orbit_canonical, shift
 from necklacemap.dlog import profile
-from necklacemap.errors import NecklaceMapError, NotInFError, UniquenessViolationError
+from necklacemap.errors import (
+    NecklaceMapError,
+    NotInFError,
+    RangeViolationError,
+    UniquenessViolationError,
+)
 from necklacemap.numtheory import gcd_of_set
 from necklacemap.oracle import enum_functions, enum_necklaces
 from reference import map_necklace_by_trial
@@ -77,6 +84,42 @@ class TestEncode:
             for c1 in range(2):
                 comps = [[c0] * 3, [c1] * 3]
                 assert split_components(t, combine_components(t, comps)) == comps
+
+
+class TestCodec:
+    @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2)])
+    def test_live_payloads_read_back_the_encoding(self, tables_for, n, q):
+        t = tables_for(n, q)
+        for word in product(range(q), repeat=n):
+            prof = profile(t, word)
+            aut = t.automorphisms.for_support(prof.support)
+            expected = {
+                (i, j): prof.entry(i, j).offset * t.blocks[i].quotients[j].rotation_order
+                + aligned
+                for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut))
+            }
+            assert live_payloads(t, encode_word(t, word)) == expected
+            supported = [(i, j) for i, live in enumerate(prof.support) for j in live]
+            assert list(expected) == supported
+
+    def test_saturated_payload_is_out_of_range(self, tables_for, monkeypatch):
+        # offset = x_exponent with zero turns gives payload q_i**size - 1,
+        # the all-(q_i - 1) digit block that marks an unsupported coset
+        t = tables_for(5, 4)
+        word = (0, 1, 2, 3, 0)
+        j = profile(t, word).support[0][-1]
+        qctx, size = t.blocks[0].quotients[j], t.blocks[0].cosets[j].size
+        assert qctx.x_exponent * qctx.rotation_order == 4**size - 1
+        real = bijection.rotate_profile
+
+        def saturate(tables, prof, k):
+            rotated = real(tables, prof, k)
+            entry = replace(rotated.entry(0, j), turns=0, offset=qctx.x_exponent)
+            return replace(rotated, entries={**rotated.entries, (0, j): entry})
+
+        monkeypatch.setattr(bijection, "rotate_profile", saturate)
+        with pytest.raises(RangeViolationError):
+            map_necklace(t, word)
 
 
 class TestMapNecklace:

@@ -5,6 +5,7 @@ import pytest
 
 from necklacemap.cli import main
 from necklacemap.decomposition import build_tables, crt_combine
+from necklacemap.fields import QuotientFieldCtx
 from necklacemap.numtheory import RingParams
 
 
@@ -88,6 +89,19 @@ class TestBasics:
         assert code == 0
         assert "bijection certified: 4 <-> 4" in out
         assert "elapsed" in err
+
+    def test_verify_builds_the_tables_once(self, capsys, monkeypatch):
+        built = []
+        real = QuotientFieldCtx.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(QuotientFieldCtx, "__init__", counting)
+        assert run(capsys, "verify", "3", "10")[0] == 0
+        # factors 5 and 2, each with the cosets {0} and {1, 2}: 4 quotient fields
+        assert len(built) == 4
 
 
 class TestExitCodes:

@@ -12,7 +12,6 @@ from necklacemap.numtheory import (
     factorize,
     gcd_of_set,
     is_prime,
-    mult_order,
 )
 
 
@@ -67,23 +66,6 @@ class TestFactorize:
         assert math.prod(f.value for f in fs) == m
         assert all(is_prime(f.p) for f in fs)
         assert len({f.p for f in fs}) == len(fs)
-
-
-class TestMultOrder:
-    @pytest.mark.parametrize("a,m,expected", [(2, 7, 3), (10, 3, 1), (2, 9, 6), (5, 1, 1)])
-    def test_known_orders(self, a, m, expected):
-        assert mult_order(a, m) == expected
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprimeError):
-            mult_order(6, 9)
-
-    @given(st.integers(1, 500), st.integers(1, 500))
-    @settings(max_examples=300, deadline=None)
-    def test_divides_totient(self, a, m):
-        if math.gcd(a, m) != 1:
-            return
-        assert euler_phi(m) % mult_order(a, m) == 0
 
 
 class TestEulerPhi:
