@@ -9,10 +9,12 @@ Z_{n/gcd(n, rep)}.  We multiply each coordinate by a unit h so that
 
 That calibration makes the weighted sum of the encoded function advance by
 exactly gcd(n, reps) per rotation, which lets map_necklace solve for the
-unique zero-sum rotation instead of trying each one.  The search for the
-lexicographically smallest unit tuple is exhaustive; theory guarantees a
-(possibly non-diagonal) solution exists, and on the supported instance
-range the diagonal search always succeeds.
+unique zero-sum rotation instead of trying each one.  A backward pass
+over the supported pairs marks the sums mod n that can still reach the
+target; a forward pass takes the smallest unit at each pair that stays
+reachable.  That gives the lexicographically smallest unit tuple in at
+most pairs * n shifts of an n-bit mask, or NoSolutionError when no
+diagonal tuple exists (some supports at even n).
 """
 
 from __future__ import annotations
@@ -115,21 +117,27 @@ class AutomorphismTable:
             (0,) if m == 1 else tuple(u for u in range(1, m) if math.gcd(u, m) == 1)
             for m in moduli
         ]
-        picked = [0] * len(pairs)
-
-        def search(pos: int, acc: int) -> bool:
-            if pos == len(pairs):
-                return acc == target
-            for u in choices[pos]:
-                picked[pos] = u
-                if search(pos + 1, (acc + coeffs[pos] * u) % n):
-                    return True
-            return False
-
-        if not search(0, 0):
+        # reach[k] has bit s set when a running sum s mod n before pair k can
+        # still end on target; n bits per pair keep memory at pairs * n bits
+        full = (1 << n) - 1
+        reach = [1 << target]
+        for c, units in zip(reversed(coeffs), reversed(choices)):
+            ahead = reach[-1]
+            here = 0
+            for a in {c * u % n for u in units}:
+                here |= (ahead >> a | ahead << (n - a)) & full
+            reach.append(here)
+        reach.reverse()
+        if not reach[0] & 1:
             raise NoSolutionError(
                 f"no diagonal unit tuple matches gcd for support {key} at n={n}"
             )
+        picked = []
+        acc = 0
+        for c, units, ahead in zip(coeffs, choices, reach[1:]):
+            u = next(u for u in units if ahead >> (acc + c * u) % n & 1)
+            picked.append(u)
+            acc = (acc + c * u) % n
         return UnitAutomorphism(
             support=key,
             pairs=pairs,

@@ -43,7 +43,7 @@ class OrderMismatchError(InvariantViolationError):
 
 
 class NoSolutionError(InvariantViolationError):
-    """The unit-tuple search exhausted; theory guarantees this cannot happen."""
+    """No diagonal unit tuple calibrates a support; sweeps find this only at even n."""
 
 
 class RangeViolationError(InvariantViolationError):

@@ -108,14 +108,6 @@ def pow_mod(field, base, exp: int, modulus) -> tuple:
     return result
 
 
-def eval_at(field, a, point):
-    """Horner evaluation of a at a field element."""
-    acc = field.zero
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, point), c)
-    return acc
-
-
 def is_irreducible(field, f) -> bool:
     """Irreducibility over the coefficient field.
 

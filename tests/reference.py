@@ -8,6 +8,9 @@
 - generator_by_log takes the log of x_class to the base of the canonical
   primitive by BSGS; QuotientFieldCtx walks the powers of
   primitive**x_exponent instead.
+- units_by_search finds the lexicographically least diagonal unit tuple
+  by depth-first backtracking, exponential when none exists;
+  AutomorphismTable calibrates by one backward reachability pass instead.
 
 Tests compare each pair.
 """
@@ -18,7 +21,7 @@ from itertools import product
 from necklacemap import dlog
 from necklacemap.bijection import encode_word, weighted_sum
 from necklacemap.decomposition import CosetTable, shift
-from necklacemap.errors import InternalError, UniquenessViolationError
+from necklacemap.errors import InternalError, NoSolutionError, UniquenessViolationError
 from necklacemap.fields import QuotientFieldCtx, baby_table, discrete_log, find_primitive
 
 
@@ -111,3 +114,36 @@ def generator_by_log(qctx: QuotientFieldCtx):
             return field.pow(primitive, u)
         u += step
     raise InternalError("no unit exponent reaches the class of x")
+
+
+def units_by_search(tables: CosetTable, support) -> tuple[int, ...]:
+    """Least diagonal unit tuple for one support, by backtracking.
+
+    Tries the units of each supported pair in increasing order and keeps
+    the first full tuple whose weighted sum is gcd(n, supported reps);
+    raises NoSolutionError when the whole product is exhausted.
+    """
+    key = tables.automorphisms.normalize(support)
+    n = tables.params.n
+    pairs, moduli, coeffs, step = tables.automorphisms._congruence_data(key)
+    target = step % n
+    choices = [
+        (0,) if m == 1 else tuple(u for u in range(1, m) if math.gcd(u, m) == 1)
+        for m in moduli
+    ]
+    picked = [0] * len(pairs)
+
+    def search(pos: int, acc: int) -> bool:
+        if pos == len(pairs):
+            return acc == target
+        for u in choices[pos]:
+            picked[pos] = u
+            if search(pos + 1, (acc + coeffs[pos] * u) % n):
+                return True
+        return False
+
+    if not search(0, 0):
+        raise NoSolutionError(
+            f"no diagonal unit tuple matches gcd for support {key} at n={n}"
+        )
+    return tuple(picked)

@@ -1,12 +1,18 @@
+import math
+import random
+import time
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
-import math
 import pytest
 
+from necklacemap.automorphism import AutomorphismTable
+from necklacemap.counting import stratum_keys
 from necklacemap.decomposition import build_tables
 from necklacemap.errors import InternalError, NoSolutionError
 from necklacemap.numtheory import RingParams, gcd_of_set
+from reference import units_by_search
 
 
 def congruence_holds(tables, aut):
@@ -50,8 +56,6 @@ class TestSolve:
 
     @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2), (4, 3), (5, 6)])
     def test_all_supports_solve_and_validate(self, tables_for, n, q):
-        from necklacemap.counting import stratum_keys
-
         t = tables_for(n, q)
         for key in stratum_keys(t):
             aut = t.automorphisms.for_support(key)
@@ -87,6 +91,64 @@ class TestSolve:
         with pytest.raises(NoSolutionError):
             t.automorphisms.for_support(support)
 
+    @pytest.mark.parametrize(
+        "n,q",
+        [(3, 10), (5, 4), (9, 2), (5, 6), (7, 10), (13, 6), (11, 12), (33, 4)]
+        + [(4, 5), (6, 7), (8, 3), (10, 3), (12, 5), (20, 3), (63, 2)],
+    )
+    def test_matches_backtracking_search(self, tables_for, n, q):
+        t = tables_for(n, q)
+        supports = list(stratum_keys(t))
+        if len(supports) > 1024:  # (63,2) has 8192
+            supports = random.Random(6).sample(supports, 64)
+        for key in supports:
+            try:
+                expected = units_by_search(t, key)
+            except NoSolutionError:
+                with pytest.raises(NoSolutionError):
+                    t.automorphisms.for_support(key)
+            else:
+                assert t.automorphisms.for_support(key).units == expected
+
+    def test_no_tuple_is_reported_in_polynomial_time(self):
+        # no diagonal tuple exists; exhausting the unit product of its 14 pairs
+        # takes seconds
+        t = build_tables(RingParams.create(24, 5))
+        full = tuple(tuple(range(len(block.cosets))) for block in t.blocks)
+        start = time.perf_counter()
+        with pytest.raises(NoSolutionError):
+            t.automorphisms.for_support(full)
+        assert time.perf_counter() - start < 1.0
+
+    def test_support_deeper_than_the_recursion_limit(self):
+        # n = 1200 singleton cosets, as for q = 1 (mod n); 600 odd reps force
+        # an even weighted sum against the target 1
+        n = 1200
+        cosets = [SimpleNamespace(rep=r) for r in range(n)]
+        tables = SimpleNamespace(
+            params=SimpleNamespace(n=n, weights=(1,)),
+            blocks=(SimpleNamespace(cosets=cosets),),
+        )
+        with pytest.raises(NoSolutionError):
+            AutomorphismTable(tables).for_support((range(n),))
+
+    def test_every_odd_n_pair_in_the_sweep_calibrates(self):
+        pairs = []
+        n = 2
+        while n * 2**n <= 6e4:
+            q = 2
+            while n * q**n <= 6e4:
+                if math.gcd(n, q) == 1:
+                    pairs.append((n, q))
+                q += 1
+            n += 1
+        assert len(pairs) == 117
+        for n, q in pairs:
+            if n % 2:
+                t = build_tables(RingParams.create(n, q))
+                for key in stratum_keys(t):
+                    assert congruence_holds(t, t.automorphisms.for_support(key))
+
 
 class TestApply:
     def test_apply_on_ones_gives_units(self, tables_for):
@@ -107,8 +169,6 @@ class TestApply:
 
     @pytest.mark.parametrize("n,q", [(3, 10), (5, 4)])
     def test_bijective_on_product_group(self, tables_for, n, q):
-        from necklacemap.counting import stratum_keys
-
         t = tables_for(n, q)
         for key in stratum_keys(t):
             aut = t.automorphisms.for_support(key)
@@ -122,8 +182,6 @@ class TestApply:
     @pytest.mark.parametrize("n,q", [(3, 10), (5, 4)])
     def test_translation_by_diagonal_ones(self, tables_for, n, q):
         """apply(a + k*1) = apply(a) + k*units, the step the rotation law needs."""
-        from necklacemap.counting import stratum_keys
-
         t = tables_for(n, q)
         for key in stratum_keys(t):
             aut = t.automorphisms.for_support(key)

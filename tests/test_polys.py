@@ -53,11 +53,6 @@ def test_pow_mod_matches_naive():
         acc = polys.mod(F3, polys.mul(F3, acc, base), modulus)
 
 
-def test_eval_horner():
-    # 2 + 3x + x^2 at x=4 over F5: 2 + 12 + 16 = 30 = 0
-    assert polys.eval_at(F5, (2, 3, 1), 4) == 0
-
-
 @pytest.mark.parametrize(
     "field,poly,expected",
     [
