@@ -130,7 +130,8 @@ class AutomorphismTable:
         reach.reverse()
         if not reach[0] & 1:
             raise NoSolutionError(
-                f"no diagonal unit tuple matches gcd for support {key} at n={n}"
+                f"no diagonal unit tuple matches gcd for a support of "
+                f"{[len(idxs) for idxs in key]} cosets per factor at n={n}"
             )
         picked = []
         acc = 0

@@ -60,6 +60,15 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
     return ResidueProfile(support=tuple(support), entries=entries)
 
 
+def split_support(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
+    """The support of profile(tables, word) from the CRT split alone: no log."""
+    return tuple(
+        tuple(j for j, (qctx, residue) in enumerate(zip(block.quotients, group))
+              if residue != qctx.field.zero)
+        for block, group in zip(tables.blocks, crt_split(tables, word))
+    )
+
+
 def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueProfile:
     """Profile of the word shifted by k places, from the word's own profile.
 

@@ -5,6 +5,11 @@ zero-sum function inside a size envelope, pushes each necklace through the
 map, and checks totality, injectivity, surjectivity, the inverse round
 trip, the rotation law of the log split, and every stratum count against
 the closed-form formulas.
+
+The rotation law is checked by walking the rotation orbit of every
+necklace: one profile (split plus discrete logs) per fully supported word,
+compared cyclically along its orbit, and only the CRT split for every other
+word, whose support is all the check and the strata need.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import product
 from .bijection import function_support, map_necklace, unmap_function, weighted_sum
 from .counting import stratum_count, stratum_keys
 from .decomposition import CosetTable, build_tables, orbit_canonical, shift
-from .dlog import profile
+from .dlog import profile, split_support
 from .errors import EnvelopeExceededError
 from .numtheory import RingParams
 
@@ -58,13 +63,17 @@ def _full_support(tables: CosetTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(len(block.cosets))) for block in tables.blocks)
 
 
-def _shift_lemma_holds(tables: CosetTable) -> bool:
+def _shift_lemma_holds(tables: CosetTable, necklaces) -> bool:
     """Rotation law of the log split, checked exhaustively.
 
     Part one: for the bare word x, every supported coset shows one turn and
-    zero offset.  Part two: on every fully-supported word, one shift adds one
-    to the turns (mod rotation_order) and keeps the offset; by induction over
-    all words, so does a shift by k.
+    zero offset.  Part two walks the rotation orbit of every necklace, which
+    visits every word once (the visits must number q**n).  On a fully
+    supported orbit each rotation is profiled once and compared with the
+    next rotation, the last one with the necklace: one shift adds one to the
+    turns (mod rotation_order) and keeps the offset; by induction over all
+    words, so does a shift by k.  On any other orbit no log is taken: the
+    support, read from the CRT split, must be the same on every rotation.
     """
     n, q = tables.params.n, tables.params.q
     full = _full_support(tables)
@@ -81,22 +90,30 @@ def _shift_lemma_holds(tables: CosetTable) -> bool:
             if entry.offset != 0:
                 return False
 
-    for word in product(range(q), repeat=n):
-        base = profile(tables, word)
-        if base.support != full:
+    visited = 0
+    for necklace in necklaces:
+        orbit = [necklace]
+        while (word := shift(orbit[-1], 1)) != necklace:
+            orbit.append(word)
+        visited += len(orbit)
+        support = split_support(tables, necklace)
+        if support != full:
+            if any(split_support(tables, word) != support for word in orbit[1:]):
+                return False
             continue
-        rotated = profile(tables, shift(word, 1))
-        if rotated.support != full:
+        profiles = [profile(tables, word) for word in orbit]
+        if any(prof.support != full for prof in profiles):
             return False
-        for i, block in enumerate(tables.blocks):
-            for j, qctx in enumerate(block.quotients):
-                b0 = base.entry(i, j)
-                b1 = rotated.entry(i, j)
-                if b1.turns % qctx.rotation_order != (1 + b0.turns) % qctx.rotation_order:
-                    return False
-                if b1.offset != b0.offset:
-                    return False
-    return True
+        for base, rotated in zip(profiles, profiles[1:] + profiles[:1]):
+            for i, block in enumerate(tables.blocks):
+                for j, qctx in enumerate(block.quotients):
+                    b0 = base.entry(i, j)
+                    b1 = rotated.entry(i, j)
+                    if b1.turns % qctx.rotation_order != (1 + b0.turns) % qctx.rotation_order:
+                        return False
+                    if b1.offset != b0.offset:
+                        return False
+    return visited == q**n
 
 
 def verify_shift_lemma(
@@ -105,7 +122,7 @@ def verify_shift_lemma(
     """Standalone entry point for the rotation-law check."""
     _check_envelope(n, q, limit)
     tables = build_tables(RingParams.create(n, q, factor_order))
-    return _shift_lemma_holds(tables)
+    return _shift_lemma_holds(tables, enum_necklaces(n, q, limit))
 
 
 @dataclass(frozen=True)
@@ -203,11 +220,11 @@ def verify_bijection(
     inverse_ok = all(
         unmap_function(tables, image) == word for word, image in zip(necklaces, images)
     )
-    shift_lemma_ok = _shift_lemma_holds(tables)
+    shift_lemma_ok = _shift_lemma_holds(tables, necklaces)
 
     necklace_by_key: dict = {}
     for word in necklaces:
-        key = profile(tables, word).support
+        key = split_support(tables, word)
         necklace_by_key[key] = necklace_by_key.get(key, 0) + 1
     function_by_key: dict = {}
     for values in functions:

@@ -30,7 +30,7 @@ INSTANCES = [
     (3, 10), (5, 4), (9, 2), (5, 6), (7, 10),
     (13, 6), (63, 2), (11, 12), (33, 4), (17, 3),
 ]
-VERIFY_INSTANCES = [(3, 10), (5, 4), (9, 2)]
+VERIFY_INSTANCES = [(3, 10), (5, 4), (9, 2), (5, 6)]
 WORDS_PER_INSTANCE = 3
 GZIP_ABOVE = 1 << 16
 

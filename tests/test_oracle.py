@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from necklacemap import dlog, oracle
+from necklacemap.decomposition import shift
 from necklacemap.errors import EnvelopeExceededError
 from necklacemap.oracle import (
     enum_functions,
@@ -95,6 +96,16 @@ class TestVerify:
             verify_bijection(3, 10, limit=10)
 
 
+def _rotating_pair(tables):
+    """The first coset (i, j) whose turns move under a shift."""
+    return next(
+        (i, j)
+        for i, block in enumerate(tables.blocks)
+        for j, qctx in enumerate(block.quotients)
+        if qctx.rotation_order > 1
+    )
+
+
 class TestShiftLemma:
     @pytest.mark.parametrize("n,q", [(3, 10), (1, 7), (7, 2), (5, 4), (9, 2)])
     def test_holds(self, tables_for, n, q):
@@ -114,12 +125,7 @@ class TestShiftLemma:
         full = oracle._full_support(tables)
         genuine = dlog.profile
         target = next(w for w in product(range(4), repeat=5) if genuine(tables, w).support == full)
-        i, j = next(
-            (i, j)
-            for i, block in enumerate(tables.blocks)
-            for j, qctx in enumerate(block.quotients)
-            if qctx.rotation_order > 1
-        )
+        i, j = _rotating_pair(tables)
 
         def perturbed(tables_arg, word):
             prof = genuine(tables_arg, word)
@@ -132,5 +138,69 @@ class TestShiftLemma:
 
         monkeypatch.setattr(oracle, "profile", perturbed)
         monkeypatch.setattr(dlog, "profile", perturbed)
-        assert oracle._shift_lemma_holds(tables) is False
+        assert oracle._shift_lemma_holds(tables, enum_necklaces(5, 4)) is False
         assert shift_lemma_holds_all_k(tables) is False
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("field", ["offset", "turns"])
+    def test_perturbed_rotation_fails_the_walk(self, tables_for, monkeypatch, field, position):
+        # each rotation of one fully supported (5,4) orbit in turn; the pair
+        # of the last rotation wraps back to the necklace
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        necklaces = enum_necklaces(5, 4)
+        necklace = next(w for w in necklaces if dlog.split_support(tables, w) == full)
+        target = shift(necklace, position)
+        assert len({shift(necklace, k) for k in range(5)}) == 5
+        i, j = _rotating_pair(tables)
+        genuine = dlog.profile
+
+        def perturbed(tables_arg, word):
+            prof = genuine(tables_arg, word)
+            if tuple(word) != target:
+                return prof
+            entry = prof.entry(i, j)
+            entries = dict(prof.entries)
+            entries[(i, j)] = replace(entry, **{field: getattr(entry, field) + 1})
+            return replace(prof, entries=entries)
+
+        monkeypatch.setattr(oracle, "profile", perturbed)
+        assert oracle._shift_lemma_holds(tables, necklaces) is False
+
+    def test_support_changing_along_an_orbit_fails_the_walk(self, tables_for, monkeypatch):
+        # one rotation of a partly supported (5,4) orbit reports the full support
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        necklaces = enum_necklaces(5, 4)
+        genuine = dlog.split_support
+        necklace = next(w for w in necklaces if len(set(w)) > 1 and genuine(tables, w) != full)
+        target = shift(necklace, 3)
+
+        def perturbed(tables_arg, word):
+            return full if tuple(word) == target else genuine(tables_arg, word)
+
+        assert oracle._shift_lemma_holds(tables, necklaces) is True
+        monkeypatch.setattr(oracle, "split_support", perturbed)
+        assert oracle._shift_lemma_holds(tables, necklaces) is False
+
+    def test_missing_necklace_fails_the_walk(self, tables_for):
+        tables = tables_for(5, 4)
+        assert oracle._shift_lemma_holds(tables, enum_necklaces(5, 4)[:-1]) is False
+
+    def test_one_profile_per_fully_supported_word(self, tables_for, monkeypatch):
+        # the word x, then each fully supported word once: 675 of the 4^5
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        fully_supported = sum(
+            dlog.split_support(tables, w) == full for w in product(range(4), repeat=5)
+        )
+        calls = []
+        genuine = dlog.profile
+
+        def counted(tables_arg, word):
+            calls.append(word)
+            return genuine(tables_arg, word)
+
+        monkeypatch.setattr(oracle, "profile", counted)
+        assert oracle._shift_lemma_holds(tables, enum_necklaces(5, 4)) is True
+        assert len(calls) == 1 + fully_supported == 676
