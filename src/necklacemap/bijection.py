@@ -38,16 +38,6 @@ def weighted_sum(n: int, values) -> int:
     return sum(v * c for v, c in enumerate(values)) % n
 
 
-def check_function(tables: CosetTable, values) -> tuple[int, ...]:
-    values = tuple(values)
-    if len(values) != tables.params.n:
-        raise ValueError(f"function length {len(values)} != n = {tables.params.n}")
-    for c in values:
-        if not 0 <= c < tables.params.q:
-            raise ValueError(f"value {c} outside [0, {tables.params.q})")
-    return values
-
-
 def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism) -> tuple[int, ...]:
     """Rotation counters of the supported cosets after calibration."""
     return aut.apply(tuple(prof.entry(i, j).turns for i, j in aut.pairs))
@@ -131,7 +121,8 @@ def _support_of(tables: CosetTable, pairs) -> tuple[tuple[int, ...], ...]:
 
 def function_support(tables: CosetTable, values) -> tuple[tuple[int, ...], ...]:
     """Which cosets are live for a function: digit block not fully saturated."""
-    return _support_of(tables, live_payloads(tables, check_function(tables, values)))
+    values = tables.check_word(values, "function", "value")
+    return _support_of(tables, live_payloads(tables, values))
 
 
 def encode_word(tables: CosetTable, word) -> tuple[int, ...]:
@@ -177,7 +168,7 @@ def map_necklace(tables: CosetTable, word) -> tuple[int, ...]:
 
 def unmap_function(tables: CosetTable, values) -> tuple[int, ...]:
     """Canonical necklace word mapping to the given zero-sum function."""
-    values = check_function(tables, values)
+    values = tables.check_word(values, "function", "value")
     n = tables.params.n
     if weighted_sum(n, values) != 0:
         raise NotInFError("weighted sum is nonzero mod n; no necklace maps here")

@@ -4,7 +4,8 @@ Subcommands: cosets, factors, map, unmap, count, verify, zero-sum-count.
 Global flags --json and --factor-order work before or after the
 subcommand.  Necklaces and functions travel as comma-separated decimal
 colors, index 0 first.  Exit codes: 0 success, 1 domain errors or a failed
-certification, 2 argument errors, 3 broken internal invariants.
+certification, 2 argument errors, 3 broken internal invariants; each error
+type in errors.py carries its own.
 """
 
 from __future__ import annotations
@@ -12,19 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from .bijection import map_necklace, unmap_function, weighted_sum
 from .counting import binary_zero_sum_count, necklace_count, stratum_count, stratum_keys
 from .decomposition import CosetTable, build_tables
-from .errors import (
-    EnvelopeExceededError,
-    EvenNError,
-    InvariantViolationError,
-    NecklaceMapError,
-    NotCoprimeError,
-    NotInFError,
-    NotPrimeError,
-)
+from .errors import NecklaceMapError
 from .numtheory import RingParams
 from .oracle import DEFAULT_ENVELOPE, verify_bijection
 
@@ -134,37 +128,6 @@ def _poly_str(coeffs, field) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _config_payload(params: RingParams, tables: CosetTable | None) -> dict:
-    config: dict = {"factor_order": params.factor_order}
-    if tables is not None:
-        config["generators"] = [
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "generator": qctx.field.to_index(qctx.generator),
-                "x_exponent": qctx.x_exponent,
-            }
-            for i, block in enumerate(tables.blocks)
-            for j, qctx in enumerate(block.quotients)
-        ]
-    return config
-
-
-def _envelope_payload(command: str, n: int, params: RingParams | None, result, config) -> dict:
-    return {
-        "command": command,
-        "n": n,
-        "q": params.q if params is not None else None,
-        "factors": (
-            [{"p": f.p, "t": f.t, "q": f.value} for f in params.factors]
-            if params is not None
-            else []
-        ),
-        "result": result,
-        "config": config,
-    }
-
-
 def _support_str(support) -> str:
     parts = []
     for i, idxs in enumerate(support):
@@ -173,16 +136,22 @@ def _support_str(support) -> str:
     return " ".join(parts) if parts else "(no factors)"
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+class Outcome(NamedTuple):
+    """What one subcommand computed; `main` prints it and exits with `code`.
+
+    `result` is the JSON payload's "result", `lines` the text output, and
+    `tables` (if any) supplies the generators of the JSON config.  `note`
+    goes to stderr after the output.
+    """
+
+    result: object
+    lines: list[str]
+    tables: CosetTable | None = None
+    code: int = 0
+    note: str | None = None
 
 
-def _run_cosets(args) -> int:
-    params = RingParams.create(args.n, args.q, args.factor_order)
+def _run_cosets(args, params: RingParams) -> Outcome:
     tables = build_tables(params)
     result = []
     lines = []
@@ -205,13 +174,10 @@ def _run_cosets(args) -> int:
                 }
             )
         result.append(entry)
-    payload = _envelope_payload("cosets", args.n, params, result, _config_payload(params, tables))
-    _emit(args, payload, lines)
-    return 0
+    return Outcome(result, lines, tables)
 
 
-def _run_factors(args) -> int:
-    params = RingParams.create(args.n, args.q, args.factor_order)
+def _run_factors(args, params: RingParams) -> Outcome:
     tables = build_tables(params)
     result = []
     lines = []
@@ -224,13 +190,10 @@ def _run_factors(args) -> int:
                 {"j": j + 1, "coeffs": [block.field.to_index(c) for c in coeffs]}
             )
         result.append(entry)
-    payload = _envelope_payload("factors", args.n, params, result, _config_payload(params, tables))
-    _emit(args, payload, lines)
-    return 0
+    return Outcome(result, lines, tables)
 
 
-def _run_map(args) -> int:
-    params = RingParams.create(args.n, args.q, args.factor_order)
+def _run_map(args, params: RingParams) -> Outcome:
     tables = build_tables(params)
     word = _parse_colors(args.colors, args.n)
     image = map_necklace(tables, word)
@@ -239,52 +202,35 @@ def _run_map(args) -> int:
         "function": list(image),
         "weighted_sum": weighted_sum(args.n, image),
     }
-    payload = _envelope_payload("map", args.n, params, result, _config_payload(params, tables))
-    _emit(args, payload, [_csv(image)])
-    return 0
+    return Outcome(result, [_csv(image)], tables)
 
 
-def _run_unmap(args) -> int:
-    params = RingParams.create(args.n, args.q, args.factor_order)
+def _run_unmap(args, params: RingParams) -> Outcome:
     tables = build_tables(params)
     values = _parse_colors(args.values, args.n)
     word = unmap_function(tables, values)
-    result = {"function": list(values), "necklace": list(word)}
-    payload = _envelope_payload("unmap", args.n, params, result, _config_payload(params, tables))
-    _emit(args, payload, [_csv(word)])
-    return 0
+    return Outcome({"function": list(values), "necklace": list(word)}, [_csv(word)], tables)
 
 
-def _run_count(args) -> int:
-    params = RingParams.create(args.n, args.q, args.factor_order)
+def _run_count(args, params: RingParams) -> Outcome:
     total = _decimal(necklace_count(args.n, args.q))
     lines = [f"necklaces({args.n},{args.q}) = {total}"]
     result: dict = {"necklaces": total}
-    config: dict
-    if args.strata:
-        tables = build_tables(params)
-        strata = []
-        lines.append("strata:")
-        for key in stratum_keys(tables):
-            size = _decimal(stratum_count(tables, key))
-            lines.append(f"  {_support_str(key)}: {size}")
-            strata.append(
-                {
-                    "support": [[j + 1 for j in idxs] for idxs in key],
-                    "count": size,
-                }
-            )
-        result["strata"] = strata
-        config = _config_payload(params, tables)
-    else:
-        config = _config_payload(params, None)
-    payload = _envelope_payload("count", args.n, params, result, config)
-    _emit(args, payload, lines)
-    return 0
+    if not args.strata:
+        return Outcome(result, lines)
+    tables = build_tables(params)
+    result["strata"] = []
+    lines.append("strata:")
+    for key in stratum_keys(tables):
+        size = _decimal(stratum_count(tables, key))
+        lines.append(f"  {_support_str(key)}: {size}")
+        result["strata"].append(
+            {"support": [[j + 1 for j in idxs] for idxs in key], "count": size}
+        )
+    return Outcome(result, lines, tables)
 
 
-def _run_verify(args) -> int:
-    params = RingParams.create(args.n, args.q, args.factor_order)
+def _run_verify(args, params: RingParams) -> Outcome:
     report = verify_bijection(args.n, args.q, args.factor_order, args.envelope)
     lines = [f"{name}: {'ok' if ok else 'FAILED'}" for name, ok in report.flag_items()]
     if report.all_ok:
@@ -296,22 +242,18 @@ def _run_verify(args) -> int:
             f"certification FAILED: {report.necklace_total} necklaces, "
             f"{report.function_total} functions"
         )
-    payload = _envelope_payload(
-        "verify", args.n, params, report.to_payload(), _config_payload(params, report.tables)
+    return Outcome(
+        report.to_payload(),
+        lines,
+        report.tables,
+        0 if report.all_ok else 1,
+        f"elapsed: {report.elapsed:.3f}s",
     )
-    _emit(args, payload, lines)
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
-    return 0 if report.all_ok else 1
 
 
-def _run_zero_sum_count(args) -> int:
+def _run_zero_sum_count(args, params: None) -> Outcome:
     total = _decimal(binary_zero_sum_count(args.n))
-    result = {"count": total}
-    payload = _envelope_payload(
-        "zero-sum-count", args.n, None, result, {"factor_order": args.factor_order}
-    )
-    _emit(args, payload, [f"zero-sum subsets of Z_{args.n} = {total}"])
-    return 0
+    return Outcome({"count": total}, [f"zero-sum subsets of Z_{args.n} = {total}"])
 
 
 _HANDLERS = {
@@ -324,30 +266,53 @@ _HANDLERS = {
     "zero-sum-count": _run_zero_sum_count,
 }
 
+# stderr prefix per exit status; the status itself comes from the error type
+_PREFIXES = {1: "error", 2: "argument error", 3: "internal invariant violated"}
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
-    except InvariantViolationError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
-    except (
-        NotCoprimeError,
-        NotInFError,
-        EnvelopeExceededError,
-        EvenNError,
-        NotPrimeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NecklaceMapError) as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return 2
+        # zero-sum-count takes no q and so has no ring
+        params = RingParams.create(args.n, args.q, args.factor_order) if "q" in args else None
+        out = _HANDLERS[args.command](args, params)
+    except (NecklaceMapError, ValueError) as exc:
+        code = getattr(exc, "exit_code", 2)
+        print(f"{_PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
+    if args.json:
+        config: dict = {"factor_order": args.factor_order}
+        if out.tables is not None:
+            config["generators"] = [
+                {
+                    "i": i + 1,
+                    "j": j + 1,
+                    "generator": qctx.field.to_index(qctx.generator),
+                    "x_exponent": qctx.x_exponent,
+                }
+                for i, block in enumerate(out.tables.blocks)
+                for j, qctx in enumerate(block.quotients)
+            ]
+        payload = {
+            "command": args.command,
+            "n": args.n,
+            "q": params.q if params else None,
+            "factors": [
+                {"p": f.p, "t": f.t, "q": f.value} for f in (params.factors if params else ())
+            ],
+            "result": out.result,
+            "config": config,
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in out.lines:
+            print(line)
+    if out.note is not None:
+        print(out.note, file=sys.stderr)
+    return out.code
 
 
 def entrypoint() -> None:

@@ -201,13 +201,15 @@ class CosetTable:
             out.append(cof * pow(cof, -1, f.value) % params.q)
         return tuple(out)
 
-    def check_word(self, word) -> tuple[int, ...]:
+    def check_word(self, word, noun: str = "word", entry: str = "color") -> tuple[int, ...]:
+        """`word` as a tuple of n entries in [0, q); the ValueError names them
+        `noun` and `entry` (a function's are "function" and "value")."""
         word = tuple(word)
         if len(word) != self.params.n:
-            raise ValueError(f"word length {len(word)} != n = {self.params.n}")
+            raise ValueError(f"{noun} length {len(word)} != n = {self.params.n}")
         for c in word:
             if not 0 <= c < self.params.q:
-                raise ValueError(f"color {c} outside [0, {self.params.q})")
+                raise ValueError(f"{entry} {c} outside [0, {self.params.q})")
         return word
 
 

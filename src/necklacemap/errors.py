@@ -1,21 +1,30 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the CLI exit status of each.
 
 Domain errors (bad inputs) subclass ValueError where that reads naturally;
 invariant violations signal bugs in the construction itself and get their
-own branch so callers can tell the two apart.
+own branch so callers can tell the two apart.  `exit_code` is the status
+`necklacemap` exits with on the error: 1 for a domain error, 2 for a bad
+argument (the default), 3 for a broken invariant.  A plain ValueError
+exits 2.
 """
 
 
 class NecklaceMapError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2
+
 
 class NotCoprimeError(NecklaceMapError, ValueError):
     """Two quantities that must be coprime are not."""
 
+    exit_code = 1
+
 
 class NotPrimeError(NecklaceMapError, ValueError):
     """A prime was required."""
+
+    exit_code = 1
 
 
 class ZeroElementError(NecklaceMapError, ValueError):
@@ -25,17 +34,25 @@ class ZeroElementError(NecklaceMapError, ValueError):
 class EnvelopeExceededError(NecklaceMapError):
     """Requested enumeration exceeds the configured size envelope."""
 
+    exit_code = 1
+
 
 class NotInFError(NecklaceMapError, ValueError):
     """Function has nonzero weighted sum, so it has no necklace preimage."""
+
+    exit_code = 1
 
 
 class EvenNError(NecklaceMapError, ValueError):
     """The binary zero-sum count formula is only defined for odd length."""
 
+    exit_code = 1
+
 
 class InvariantViolationError(NecklaceMapError):
-    """A property the construction guarantees failed to hold (a bug)."""
+    """A property the construction guarantees failed to hold (a bug); exits 3."""
+
+    exit_code = 3
 
 
 class OrderMismatchError(InvariantViolationError):

@@ -143,42 +143,23 @@ class VerificationReport:
     necklace_total: int
     function_total: int
     strata: tuple[StratumRecord, ...]
-    total_ok: bool
-    injective: bool
-    surjective: bool
-    inverse_ok: bool
-    shift_lemma_ok: bool
-    stratum_ok: bool
+    flags: dict[str, bool]  # check name -> passed, in the order the checks run
     elapsed: float
     tables: CosetTable = field(repr=False, compare=False)
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.total_ok
-            and self.injective
-            and self.surjective
-            and self.inverse_ok
-            and self.shift_lemma_ok
-            and self.stratum_ok
-        )
+        return all(self.flags.values())
 
     def flag_items(self) -> list[tuple[str, bool]]:
-        return [
-            ("total", self.total_ok),
-            ("injective", self.injective),
-            ("surjective", self.surjective),
-            ("inverse_ok", self.inverse_ok),
-            ("shift_lemma_ok", self.shift_lemma_ok),
-            ("stratum_ok", self.stratum_ok),
-        ]
+        return list(self.flags.items())
 
     def to_payload(self) -> dict:
         """JSON-ready content; counts as decimal strings, no timing."""
         return {
             "necklaces": str(self.necklace_total),
             "functions": str(self.function_total),
-            "flags": {name: ok for name, ok in self.flag_items()},
+            "flags": dict(self.flags),
             "certified": self.all_ok,
             "strata": [
                 {
@@ -204,23 +185,19 @@ def verify_bijection(
     functions = enum_functions(n, q, limit)
     function_set = set(functions)
 
-    images = []
-    total_ok = True
-    for word in necklaces:
-        image = map_necklace(tables, word)
-        images.append(image)
-        if len(image) != n or weighted_sum(n, image) != 0:
-            total_ok = False
-        if any(not 0 <= c < q for c in image):
-            total_ok = False
-
+    flags: dict[str, bool] = {}
+    images = [map_necklace(tables, word) for word in necklaces]
+    flags["total"] = all(
+        len(image) == n and weighted_sum(n, image) == 0 and all(0 <= c < q for c in image)
+        for image in images
+    )
     image_set = set(images)
-    injective = len(image_set) == len(images)
-    surjective = image_set == function_set
-    inverse_ok = all(
+    flags["injective"] = len(image_set) == len(images)
+    flags["surjective"] = image_set == function_set
+    flags["inverse_ok"] = all(
         unmap_function(tables, image) == word for word, image in zip(necklaces, images)
     )
-    shift_lemma_ok = _shift_lemma_holds(tables, necklaces)
+    flags["shift_lemma_ok"] = _shift_lemma_holds(tables, necklaces)
 
     necklace_by_key: dict = {}
     for word in necklaces:
@@ -231,22 +208,20 @@ def verify_bijection(
         key = function_support(tables, values)
         function_by_key[key] = function_by_key.get(key, 0) + 1
 
-    strata = []
-    stratum_ok = True
-    for key in stratum_keys(tables):
-        rec = StratumRecord(
+    strata = [
+        StratumRecord(
             support=key,
             formula=stratum_count(tables, key),
             necklace_side=necklace_by_key.get(key, 0),
             function_side=function_by_key.get(key, 0),
         )
-        if not rec.formula == rec.necklace_side == rec.function_side:
-            stratum_ok = False
-        strata.append(rec)
-    if sum(r.formula for r in strata) != len(necklaces):
-        stratum_ok = False
-    if sum(r.function_side for r in strata) != len(functions):
-        stratum_ok = False
+        for key in stratum_keys(tables)
+    ]
+    flags["stratum_ok"] = (
+        all(rec.formula == rec.necklace_side == rec.function_side for rec in strata)
+        and sum(rec.formula for rec in strata) == len(necklaces)
+        and sum(rec.function_side for rec in strata) == len(functions)
+    )
 
     return VerificationReport(
         n=n,
@@ -255,12 +230,7 @@ def verify_bijection(
         necklace_total=len(necklaces),
         function_total=len(functions),
         strata=tuple(strata),
-        total_ok=total_ok,
-        injective=injective,
-        surjective=surjective,
-        inverse_ok=inverse_ok,
-        shift_lemma_ok=shift_lemma_ok,
-        stratum_ok=stratum_ok,
+        flags=flags,
         elapsed=time.perf_counter() - started,
         tables=tables,
     )

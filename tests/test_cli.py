@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from necklacemap import cli, errors
 from necklacemap.cli import main
 from necklacemap.decomposition import build_tables, crt_combine
 from necklacemap.fields import QuotientFieldCtx
@@ -142,6 +143,42 @@ class TestExitCodes:
         code, _, err = run(capsys, "map", "4", "15", ",".join(map(str, word)))
         assert code == 3
         assert "invariant" in err
+
+    # every exception type of the package, with its exit status and prefix
+    EXITS = {
+        errors.NecklaceMapError: (2, "argument error: "),
+        errors.NotCoprimeError: (1, "error: "),
+        errors.NotPrimeError: (1, "error: "),
+        errors.ZeroElementError: (2, "argument error: "),
+        errors.EnvelopeExceededError: (1, "error: "),
+        errors.NotInFError: (1, "error: "),
+        errors.EvenNError: (1, "error: "),
+        errors.InvariantViolationError: (3, "internal invariant violated: "),
+        errors.OrderMismatchError: (3, "internal invariant violated: "),
+        errors.NoSolutionError: (3, "internal invariant violated: "),
+        errors.RangeViolationError: (3, "internal invariant violated: "),
+        errors.UniquenessViolationError: (3, "internal invariant violated: "),
+        errors.InternalError: (3, "internal invariant violated: "),
+        ValueError: (2, "argument error: "),
+    }
+
+    def test_every_error_type_is_listed(self):
+        defined = {
+            obj
+            for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+        }
+        assert defined | {ValueError} == set(self.EXITS)
+
+    @pytest.mark.parametrize("exc_type", list(EXITS), ids=lambda t: t.__name__)
+    def test_exit_code_and_prefix_per_error_type(self, capsys, monkeypatch, exc_type):
+        def raising(tables, word):
+            raise exc_type("planted")
+
+        monkeypatch.setattr(cli, "map_necklace", raising)
+        code, out, err = run(capsys, "map", "3", "10", "1,1,1")
+        assert (code, out) == (self.EXITS[exc_type][0], "")
+        assert err == self.EXITS[exc_type][1] + "planted\n"
 
 
 class TestJson:

@@ -1,7 +1,8 @@
 """Byte-for-byte replay of the golden corpus through the CLI.
 
 Every case in tests/golden/cases.json runs through `cli.main` in-process,
-and its exit code and `--json` stdout must equal the recorded ones.  The
+and its exit code and stdout (`--json` or text) must equal the recorded
+ones, and so must its stderr where the case exits nonzero.  The
 corpus pins the canonical choices (moduli, primitives, generators,
 calibration units, element indices), so a refactor that changes any of
 them fails here.  See tests/golden/generate.py for how it was made.
@@ -31,6 +32,8 @@ def test_matches_golden(case, capsys, monkeypatch, tables_for):
         cli, "build_tables", lambda p: tables_for(p.n, p.q, p.factor_order)
     )
     code = cli.main(list(case["argv"]))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == case["exit"]
     assert out.encode() == _expected(case)
+    if "stderr" in case:
+        assert err == case["stderr"]
