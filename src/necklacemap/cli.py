@@ -194,8 +194,8 @@ def _run_factors(args, params: RingParams) -> Outcome:
 
 
 def _run_map(args, params: RingParams) -> Outcome:
-    tables = build_tables(params)
     word = _parse_colors(args.colors, args.n)
+    tables = build_tables(params)
     image = map_necklace(tables, word)
     result = {
         "necklace": list(word),
@@ -206,8 +206,8 @@ def _run_map(args, params: RingParams) -> Outcome:
 
 
 def _run_unmap(args, params: RingParams) -> Outcome:
-    tables = build_tables(params)
     values = _parse_colors(args.values, args.n)
+    tables = build_tables(params)
     word = unmap_function(tables, values)
     return Outcome({"function": list(values), "necklace": list(word)}, [_csv(word)], tables)
 

@@ -228,37 +228,45 @@ def element_order(field, a) -> int:
 
 
 def find_primitive(field):
-    """First element of maximal order in the canonical enumeration."""
+    """First element of maximal order in the canonical enumeration.
+
+    A candidate is primitive when a**(N/r) != 1 for every prime r | N; the
+    smallest primes go first, since they reject the most candidates.
+    """
     group_order = field.order - 1
-    primes = [f.p for f in factorize(group_order)] if group_order > 1 else []
+    primes = sorted(f.p for f in factorize(group_order))
     for i in range(1, field.order):
         a = field.from_index(i)
-        if _order_given_primes(field, a, group_order, primes) == group_order:
+        if all(field.pow(a, group_order // r) != field.one for r in primes):
             return a
     raise InternalError("no primitive element found")  # pragma: no cover
 
 
-def baby_table(field, g, order: int) -> dict:
-    """Baby steps for BSGS: element -> exponent, for exponents < ceil(sqrt(order))."""
+def baby_table(field, g, order: int) -> tuple[dict, object]:
+    """Baby-step giant-step data for the group of order `order` generated by g.
+
+    Returns (babies, giant): babies maps g**j to j for j < m =
+    ceil(sqrt(order)), and giant is g**-m, taken as g**(order - m).
+    """
     m = math.isqrt(order - 1) + 1
     table = {}
     acc = field.one
     for j in range(m):
         table.setdefault(acc, j)
         acc = field.mul(acc, g)
-    return table
+    return table, field.pow(g, order - m)
 
 
-def discrete_log(field, g, y, order: int, babies: dict) -> int:
-    """Log of y to the base g, in [0, order), where g has order `order`.
+def discrete_log(field, y, order: int, babies: dict, giant) -> int:
+    """Log of y in [0, order) from babies, giant = baby_table(field, g, order).
 
-    Baby-step giant-step (Shanks, 1971) over babies = baby_table(field, g,
-    order); the giant step g**(order - m) equals g**-m but costs one pow.
+    The base is g.  Baby-step giant-step (Shanks, 1971): at most
+    ceil(sqrt(order)) + 1 giant steps, each one multiplication and one
+    table lookup.  QuotientFieldCtx runs it only in prime-power subgroups.
     """
     if y == field.zero:
         raise ZeroElementError("zero is outside the unit group")
     m = math.isqrt(order - 1) + 1
-    giant = field.pow(g, order - m)
     acc = y
     for i in range(m + 1):
         j = babies.get(acc)
@@ -268,15 +276,47 @@ def discrete_log(field, g, y, order: int, babies: dict) -> int:
     raise InternalError("element is not a power of the base")
 
 
+def _prime_power_tree(field, g, orders: list) -> tuple:
+    """Pohlig-Hellman split of the group generated by g, of order prod(orders).
+
+    The orders are pairwise coprime.  A leaf, one order, is (order, babies,
+    giant).  A node splits the list in halves of products a and b into
+    (a, b, a**-1 mod b, left, right), where left is the tree of g**b, of
+    order a, and right the tree of g**a, of order b.
+    """
+    if len(orders) == 1:
+        return (orders[0], *baby_table(field, g, orders[0]))
+    half = len(orders) // 2
+    a, b = math.prod(orders[:half]), math.prod(orders[half:])
+    left = _prime_power_tree(field, field.pow(g, b), orders[:half])
+    right = _prime_power_tree(field, field.pow(g, a), orders[half:])
+    return (a, b, pow(a, -1, b), left, right)
+
+
+def _log_in_tree(field, node: tuple, y) -> int:
+    """Log of y in the tree node: the CRT join of log(y**b) mod a and log(y**a) mod b."""
+    if len(node) == 3:
+        return discrete_log(field, y, *node)
+    a, b, a_inv, left, right = node
+    log_a = _log_in_tree(field, left, field.pow(y, b))
+    log_b = _log_in_tree(field, right, field.pow(y, a))
+    return log_a + a * ((log_b - log_a) * a_inv % b)
+
+
 class QuotientFieldCtx:
     """One quotient field F[x]/P with its rotation and generator data.
 
     `x_class` is the class of x, whose multiplicative order is
     n / gcd(n, rep) where rep is the minimal representative of the
     matching coset of residues.  `generator` is the canonical cyclic
-    generator whose x_exponent-th power equals x_class; discrete logs are
-    taken in that base by baby-step giant-step over a baby table built here,
-    whatever the size of the unit group.
+    generator whose x_exponent-th power equals x_class.
+
+    Discrete logs are taken in that base by Pohlig-Hellman (IEEE Trans. IT
+    24(1), 1978) over the one factorization of group_order made here: a
+    balanced binary tree of the prime powers p**e of the order, with CRT
+    joins at the nodes and baby-step giant-step in each p**e subgroup at the
+    leaves.  A log costs about sqrt of the largest p**e plus a few
+    exponentiations per tree level; no table spans the whole unit group.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
@@ -286,9 +326,13 @@ class QuotientFieldCtx:
         self.group_order = self.field.order - 1
         self.rep_gcd = math.gcd(n, rep)
         self.rotation_order = n // self.rep_gcd
+        prime_powers = factorize(self.group_order)
 
         self.x_class = self.field.from_poly(polys.x(base_field))
-        if element_order(self.field, self.x_class) != self.rotation_order:
+        x_order = _order_given_primes(
+            self.field, self.x_class, self.group_order, [f.p for f in prime_powers]
+        )
+        if x_order != self.rotation_order:
             raise OrderMismatchError(
                 f"class of x has wrong order in quotient of degree {self.field.degree}"
             )
@@ -297,8 +341,10 @@ class QuotientFieldCtx:
         self.x_exponent = self.group_order * self.rep_gcd // n
 
         self.generator = self._pick_generator()
-        self._check_generator()
-        self._babies = baby_table(self.field, self.generator, self.group_order)
+        self._check_generator(prime_powers)
+        # the trivial group of GF(2) is one leaf of order 1
+        orders = [f.value for f in prime_powers] or [1]
+        self._log_tree = _prime_power_tree(self.field, self.generator, orders)
 
     def _pick_generator(self):
         """Smallest power of the canonical primitive that both generates the
@@ -318,11 +364,11 @@ class QuotientFieldCtx:
             u += self.rotation_order
         raise InternalError("no unit exponent reaches the class of x")  # pragma: no cover
 
-    def _check_generator(self):
+    def _check_generator(self, prime_powers):
         field = self.field
         if field.pow(self.generator, self.group_order) != field.one:
             raise OrderMismatchError("generator order check failed")
-        for f in factorize(self.group_order):
+        for f in prime_powers:
             if field.pow(self.generator, self.group_order // f.p) == field.one:
                 raise OrderMismatchError("generator is not primitive")
         if field.pow(self.generator, self.x_exponent) != self.x_class:
@@ -330,7 +376,7 @@ class QuotientFieldCtx:
 
     def dlog(self, y) -> int:
         """Discrete log of y base `generator`, in [0, group_order)."""
-        return discrete_log(self.field, self.generator, y, self.group_order, self._babies)
+        return _log_in_tree(self.field, self._log_tree, y)
 
     def __repr__(self):
         return (

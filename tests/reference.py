@@ -5,8 +5,12 @@
   solves for the rotation instead.
 - shift_lemma_holds_all_k profiles every rotation by k of every fully
   supported word; the library's verifier checks the one-step law.
+- dlog_by_bsgs takes a log by one baby-step giant-step over the whole
+  unit group, ceil(sqrt(N)) baby steps; QuotientFieldCtx.dlog splits the
+  group along the prime powers of N (Pohlig-Hellman) and runs BSGS only in
+  those subgroups.
 - generator_by_log takes the log of x_class to the base of the canonical
-  primitive by BSGS; QuotientFieldCtx walks the powers of
+  primitive by dlog_by_bsgs; QuotientFieldCtx walks the powers of
   primitive**x_exponent instead.
 - units_by_search finds the lexicographically least diagonal unit tuple
   by depth-first backtracking, exponential when none exists;
@@ -16,13 +20,19 @@ Tests compare each pair.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
 from necklacemap import dlog
 from necklacemap.bijection import encode_word, weighted_sum
 from necklacemap.decomposition import CosetTable, shift
-from necklacemap.errors import InternalError, NoSolutionError, UniquenessViolationError
-from necklacemap.fields import QuotientFieldCtx, baby_table, discrete_log, find_primitive
+from necklacemap.errors import (
+    InternalError,
+    NoSolutionError,
+    UniquenessViolationError,
+    ZeroElementError,
+)
+from necklacemap.fields import QuotientFieldCtx, find_primitive
 
 
 def map_necklace_by_trial(tables: CosetTable, word) -> tuple[int, ...]:
@@ -92,6 +102,37 @@ def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
+def _whole_group_steps(field, g, order: int) -> tuple[int, dict, tuple]:
+    """m = ceil(sqrt(order)), the baby steps g**j -> j for j < m, and g**-m."""
+    m = math.isqrt(order - 1) + 1
+    babies = {}
+    acc = field.one
+    for j in range(m):
+        babies.setdefault(acc, j)
+        acc = field.mul(acc, g)
+    return m, babies, field.pow(g, order - m)
+
+
+def dlog_by_bsgs(field, g, y, order: int) -> int:
+    """Log of y in [0, order) to the base g of multiplicative order `order`.
+
+    Baby-step giant-step (Shanks, 1971) over the whole group: ceil(sqrt(order))
+    baby steps and the giant step g**-m, cached per (field, g, order), then
+    up to m + 1 giant steps.
+    """
+    if y == field.zero:
+        raise ZeroElementError("zero is outside the unit group")
+    m, babies, giant = _whole_group_steps(field, g, order)
+    acc = y
+    for i in range(m + 1):
+        j = babies.get(acc)
+        if j is not None:
+            return (i * m + j) % order
+        acc = field.mul(acc, giant)
+    raise InternalError("element is not a power of the base")
+
+
 def generator_by_log(qctx: QuotientFieldCtx):
     """The constrained generator of one quotient field, from a full log.
 
@@ -102,8 +143,7 @@ def generator_by_log(qctx: QuotientFieldCtx):
     field = qctx.field
     n_units = qctx.group_order
     primitive = find_primitive(field)
-    babies = baby_table(field, primitive, n_units)
-    target = discrete_log(field, primitive, qctx.x_class, n_units, babies)
+    target = dlog_by_bsgs(field, primitive, qctx.x_class, n_units)
     e = qctx.x_exponent
     if target % e != 0:
         raise InternalError("log of the class of x is not divisible by its exponent")

@@ -113,6 +113,21 @@ class TestExitCodes:
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("map", "17", "3", "1,1"), "expected 17 comma-separated entries, got 2"),
+            (("unmap", "33", "4", "1,x"), "could not parse '1,x' as comma-separated integers"),
+        ],
+        ids=["map", "unmap"],
+    )
+    def test_malformed_colors_exit_2_before_any_build(self, capsys, monkeypatch, argv, message):
+        def no_build(params):
+            raise AssertionError("tables built for a malformed word")
+
+        monkeypatch.setattr(cli, "build_tables", no_build)
+        assert run(capsys, *argv) == (2, "", f"argument error: {message}\n")
+
     def test_domain_errors_exit_1(self, capsys):
         assert run(capsys, "map", "4", "2", "1,0,0,0")[0] == 1  # shared factor
         assert run(capsys, "unmap", "3", "10", "0,1,0")[0] == 1  # weighted sum 1

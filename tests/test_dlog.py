@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from necklacemap.decomposition import shift
 from necklacemap.dlog import profile, rotate_profile, split_log
 from necklacemap.errors import ZeroElementError
+from necklacemap.fields import ExtensionField, PrimeField, QuotientFieldCtx
+from reference import dlog_by_bsgs
 
 
 def all_quotients(tables):
@@ -40,14 +43,69 @@ class TestDlog:
                 acc = qc.field.mul(acc, qc.generator)
 
     def test_exhaustive_bsgs_group(self, tables_for):
-        # (13,2) has a quotient of order 4095, a 64-entry baby table
+        # (13,2) has a quotient of order 4095 = 3^2*5*7*13: every unit is
+        # logged through the prime-power split and by whole-group BSGS
         tables = tables_for(13, 2)
         qc = tables.blocks[0].quotients[1]
         assert qc.group_order == 4095
         acc = qc.field.one
         for k in range(qc.group_order):
-            assert qc.dlog(acc) == k
+            assert qc.dlog(acc) == k == dlog_by_bsgs(qc.field, qc.generator, acc, 4095)
             acc = qc.field.mul(acc, qc.generator)
+
+
+class TestPohligHellman:
+    @pytest.mark.parametrize(
+        "n,q,order",
+        [
+            (5, 3, 80),  # GF(81), 2^4 * 5
+            (5, 9, 80),  # GF(81) over GF(9)
+            (11, 3, 242),  # GF(3^5), 2 * 11^2
+            (31, 2, 31),  # GF(2^5), prime order
+            (13, 2, 1),  # GF(2) modulo x + 1, the trivial group
+        ],
+    )
+    def test_every_unit_matches_whole_group_bsgs(self, tables_for, n, q, order):
+        quotients = [qc for _, _, qc in all_quotients(tables_for(n, q)) if qc.group_order == order]
+        assert quotients
+        for qc in quotients:
+            field = qc.field
+            for i in range(1, field.order):
+                y = field.from_index(i)
+                assert qc.dlog(y) == dlog_by_bsgs(field, qc.generator, y, order)
+
+    def test_trivial_group_rejects_zero(self):
+        qc = QuotientFieldCtx(PrimeField(2), (1, 1), n=3, rep=0)
+        assert qc.group_order == 1 and qc.dlog(qc.field.one) == 0
+        with pytest.raises(ZeroElementError):
+            qc.dlog(qc.field.zero)
+
+    def test_seeded_units_of_large_group(self, tables_for):
+        # (17,3): one quotient of order 3^16 - 1 = 2^6*5*17*41*193
+        qc = tables_for(17, 3).blocks[0].quotients[1]
+        assert qc.group_order == 3**16 - 1
+        rng = random.Random(9)
+        for _ in range(200):
+            k = rng.randrange(qc.group_order)
+            assert qc.dlog(qc.field.pow(qc.generator, k)) == k
+
+    def test_multiplications_per_log(self, tables_for, monkeypatch):
+        # a whole-group BSGS log here averages about 4700 multiplications
+        qc = tables_for(17, 3).blocks[0].quotients[1]
+        rng = random.Random(20)
+        units = [qc.field.from_index(rng.randrange(1, qc.field.order)) for _ in range(20)]
+        calls = 0
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        for y in units:
+            qc.dlog(y)
+        assert calls / len(units) < 1000
 
 
 class TestSplitLog:

@@ -140,21 +140,22 @@ class TestDiscreteLog:
     def test_prime_field_group(self):
         f = PrimeField(101)
         g = find_primitive(f)
-        babies = baby_table(f, g, 100)
+        steps = baby_table(f, g, 100)
         for k in range(0, 100, 7):
-            assert discrete_log(f, g, f.pow(g, k), 100, babies) == k
+            assert discrete_log(f, f.pow(g, k), 100, *steps) == k
 
     def test_bsgs_path(self):
         f = build_field(2, 11)  # unit group of order 2047, a 46-entry baby table
         g = find_primitive(f)
-        babies = baby_table(f, g, 2047)
+        babies, giant = baby_table(f, g, 2047)
+        assert len(babies) == 46 and f.mul(giant, f.pow(g, 46)) == f.one
         for k in [0, 1, 2, 100, 1023, 2046]:
-            assert discrete_log(f, g, f.pow(g, k), 2047, babies) == k
+            assert discrete_log(f, f.pow(g, k), 2047, babies, giant) == k
 
     def test_zero_rejected(self):
         f = PrimeField(5)
         with pytest.raises(ZeroElementError):
-            discrete_log(f, 2, 0, 4, baby_table(f, 2, 4))
+            discrete_log(f, 0, 4, *baby_table(f, 2, 4))
 
 
 class TestQuotientCtx:
