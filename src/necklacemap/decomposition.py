@@ -21,11 +21,10 @@ from .fields import (
     Field,
     QuotientFieldCtx,
     build_field,
-    element_order,
     extend_field,
     find_primitive,
 )
-from .numtheory import PrimePowerFactor, RingParams
+from .numtheory import PrimePowerFactor, RingParams, factorize
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,13 @@ def _xn_minus_1(field, n: int) -> tuple:
 def _root_of_unity(ext, n: int):
     """Canonical element of multiplicative order n: a power of the first
     primitive element.  (Scanning for order exactly n would touch most of
-    the field once the splitting extension gets large.)"""
+    the field once the splitting extension gets large.)  omega**n = 1 by
+    construction, so omega**(n/r) != 1 for each prime r | n proves the order."""
     group = ext.order - 1
     if group % n != 0:
         raise InternalError("splitting field does not contain the needed roots")
     omega = ext.pow(find_primitive(ext), group // n)
-    if element_order(ext, omega) != n:
+    if any(ext.pow(omega, n // f.p) == ext.one for f in factorize(n)):
         raise InternalError("root of unity has the wrong order")  # pragma: no cover
     return omega
 
@@ -261,9 +261,9 @@ def crt_combine(tables: CosetTable, residues) -> tuple[int, ...]:
 
 def shift(word, k: int) -> tuple[int, ...]:
     """Rotate the word by k places (multiplication by x**k)."""
-    n = len(word)
-    k %= n
-    return tuple(word[(v - k) % n] for v in range(n))
+    word = tuple(word)
+    k %= len(word)
+    return word[-k:] + word[:-k] if k else word
 
 
 def orbit_canonical(word) -> tuple[int, ...]:

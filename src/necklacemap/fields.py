@@ -14,6 +14,7 @@ constant upward.  That keeps the whole construction reproducible.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Union
 
 from . import polys
@@ -146,13 +147,13 @@ class ExtensionField:
         if e < 0:
             a = self.inv(a)
             e = -e
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
+        if e == 0:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
     def from_index(self, i: int) -> tuple:
@@ -177,22 +178,6 @@ class ExtensionField:
 Field = Union[PrimeField, ExtensionField]
 
 
-def smallest_irreducible(base, t: int) -> tuple:
-    """First monic irreducible of degree t over base, in canonical order."""
-    if t < 1:
-        raise ValueError("degree must be positive")
-    for i in range(base.order**t):
-        low = []
-        rest = i
-        for _ in range(t):
-            rest, r = divmod(rest, base.order)
-            low.append(base.from_index(r))
-        cand = tuple(low) + (base.one,)
-        if polys.is_irreducible(base, cand):
-            return cand
-    raise InternalError(f"no irreducible of degree {t} found")  # pragma: no cover
-
-
 def build_field(p: int, t: int) -> Field:
     """The field of order p**t; plain residues for t = 1."""
     prime = PrimeField(p)
@@ -202,29 +187,22 @@ def build_field(p: int, t: int) -> Field:
 def extend_field(base, t: int) -> ExtensionField:
     """Degree-t extension of any field context by its canonical modulus.
 
-    Always a fresh ExtensionField, t = 1 included: its elements are then
-    1-tuples over base, and in_base maps them back down.
+    The modulus is the first monic irreducible of degree t in canonical
+    order; each candidate's one irreducibility test is the one
+    ExtensionField makes.  Always a fresh ExtensionField, t = 1 included:
+    its elements are then 1-tuples over base, and in_base maps them back down.
     """
-    return ExtensionField(base, smallest_irreducible(base, t))
-
-
-def _order_given_primes(field, a, group_order: int, primes) -> int:
-    k = group_order
-    for r in primes:
-        while k % r == 0 and field.pow(a, k // r) == field.one:
-            k //= r
-    return k
-
-
-def element_order(field, a) -> int:
-    """Multiplicative order of a nonzero element, via divisors of |F*|."""
-    if a == field.zero:
-        raise ZeroElementError("zero has no multiplicative order")
-    group_order = field.order - 1
-    if group_order == 0:
-        raise ZeroElementError("zero has no multiplicative order")
-    primes = [f.p for f in factorize(group_order)]
-    return _order_given_primes(field, a, group_order, primes)
+    if t < 1:
+        raise ValueError("degree must be positive")
+    elements = [base.from_index(r) for r in range(base.order)]
+    # product varies its last entry fastest, so reversed it counts up from
+    # the constant coefficient
+    for high_first in product(elements, repeat=t):
+        try:
+            return ExtensionField(base, high_first[::-1] + (base.one,))
+        except ValueError:  # reducible
+            continue
+    raise InternalError(f"no irreducible of degree {t} found")  # pragma: no cover
 
 
 def find_primitive(field):
@@ -309,14 +287,18 @@ class QuotientFieldCtx:
     `x_class` is the class of x, whose multiplicative order is
     n / gcd(n, rep) where rep is the minimal representative of the
     matching coset of residues.  `generator` is the canonical cyclic
-    generator whose x_exponent-th power equals x_class.
+    generator whose x_exponent-th power equals x_class: primitive**u for
+    the first primitive element and the least unit u mod group_order with
+    u * x_exponent = log(x_class) mod group_order.
 
-    Discrete logs are taken in that base by Pohlig-Hellman (IEEE Trans. IT
-    24(1), 1978) over the one factorization of group_order made here: a
+    Logs are taken to the primitive's base by Pohlig-Hellman (IEEE Trans.
+    IT 24(1), 1978) over the one factorization of group_order made here: a
     balanced binary tree of the prime powers p**e of the order, with CRT
-    joins at the nodes and baby-step giant-step in each p**e subgroup at the
-    leaves.  A log costs about sqrt of the largest p**e plus a few
-    exponentiations per tree level; no table spans the whole unit group.
+    joins at the nodes and baby-step giant-step in each p**e subgroup at
+    the leaves.  Set-up takes one, of x_class, which proves its order and
+    gives u; dlog scales by u**-1.  A log costs about sqrt of the largest
+    p**e plus a few exponentiations per tree level; no table spans the
+    whole unit group.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
@@ -327,42 +309,28 @@ class QuotientFieldCtx:
         self.rep_gcd = math.gcd(n, rep)
         self.rotation_order = n // self.rep_gcd
         prime_powers = factorize(self.group_order)
-
         self.x_class = self.field.from_poly(polys.x(base_field))
-        x_order = _order_given_primes(
-            self.field, self.x_class, self.group_order, [f.p for f in prime_powers]
-        )
-        if x_order != self.rotation_order:
+        primitive = find_primitive(self.field)
+        # the trivial group of GF(2) is one leaf of order 1
+        orders = [f.value for f in prime_powers] or [1]
+        self._log_tree = _prime_power_tree(self.field, primitive, orders)
+        # x_class = primitive**L has order group_order / gcd(L, group_order)
+        log_x = _log_in_tree(self.field, self._log_tree, self.x_class)
+        self.x_exponent = math.gcd(log_x, self.group_order)
+        if self.x_exponent * self.rotation_order != self.group_order:
             raise OrderMismatchError(
                 f"class of x has wrong order in quotient of degree {self.field.degree}"
             )
-        if self.group_order * self.rep_gcd % n != 0:
-            raise InternalError("rotation order does not divide the unit group order")
-        self.x_exponent = self.group_order * self.rep_gcd // n
-
-        self.generator = self._pick_generator()
-        self._check_generator(prime_powers)
-        # the trivial group of GF(2) is one leaf of order 1
-        orders = [f.value for f in prime_powers] or [1]
-        self._log_tree = _prime_power_tree(self.field, self.generator, orders)
-
-    def _pick_generator(self):
-        """Smallest power of the canonical primitive that both generates the
-        unit group and lands on x_class at the prescribed exponent.  The
-        start u solves (primitive**x_exponent)**u == x_class by a walk."""
-        n_units = self.group_order
-        primitive = find_primitive(self.field)
-        h = self.field.pow(primitive, self.x_exponent)
-        u, acc = 0, self.field.one
-        while acc != self.x_class:
-            u, acc = u + 1, self.field.mul(acc, h)
-            if u == self.rotation_order:
-                raise InternalError("class of x lies outside the subgroup of its order")
-        for _ in range(n_units + 1):
-            if math.gcd(u, n_units) == 1:
-                return self.field.pow(primitive, u)
+        u = log_x // self.x_exponent
+        for _ in range(self.group_order + 1):
+            if math.gcd(u, self.group_order) == 1:
+                break
             u += self.rotation_order
-        raise InternalError("no unit exponent reaches the class of x")  # pragma: no cover
+        else:
+            raise InternalError("no unit exponent reaches the class of x")  # pragma: no cover
+        self.generator = self.field.pow(primitive, u)
+        self._unscale = pow(u, -1, self.group_order)
+        self._check_generator(prime_powers)
 
     def _check_generator(self, prime_powers):
         field = self.field
@@ -376,7 +344,7 @@ class QuotientFieldCtx:
 
     def dlog(self, y) -> int:
         """Discrete log of y base `generator`, in [0, group_order)."""
-        return _log_in_tree(self.field, self._log_tree, y)
+        return _log_in_tree(self.field, self._log_tree, y) * self._unscale % self.group_order
 
     def __repr__(self):
         return (

@@ -1,8 +1,9 @@
 """Exact integer number theory shared by all other modules.
 
-Everything here works on machine-range Python ints; inputs are desk-scale
-by design (factorization targets up to ~1e7, moduli up to ~1e4), so plain
-trial division and power scans are the right tools.
+factorize is plain trial division: on m it stops after about
+max(second-largest prime, sqrt(largest prime)) steps, so set-up factors
+unit-group orders such as 2**100 - 1 (largest prime 268 501) quickly, but
+nothing bounds that cost on other orders yet.
 """
 
 from __future__ import annotations

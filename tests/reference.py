@@ -10,8 +10,12 @@
   group along the prime powers of N (Pohlig-Hellman) and runs BSGS only in
   those subgroups.
 - generator_by_log takes the log of x_class to the base of the canonical
-  primitive by dlog_by_bsgs; QuotientFieldCtx walks the powers of
-  primitive**x_exponent instead.
+  primitive by dlog_by_bsgs, and generator_by_walk walks the powers of
+  primitive**x_exponent until one is x_class; QuotientFieldCtx takes that
+  log in its Pohlig-Hellman tree instead.
+- element_order divides |F*| by each of its primes while the power stays
+  1; the library proves orders only through a log or the primes of the
+  order it expects.
 - units_by_search finds the lexicographically least diagonal unit tuple
   by depth-first backtracking, exponential when none exists;
   AutomorphismTable calibrates by one backward reachability pass instead.
@@ -33,6 +37,7 @@ from necklacemap.errors import (
     ZeroElementError,
 )
 from necklacemap.fields import QuotientFieldCtx, find_primitive
+from necklacemap.numtheory import factorize
 
 
 def map_necklace_by_trial(tables: CosetTable, word) -> tuple[int, ...]:
@@ -154,6 +159,40 @@ def generator_by_log(qctx: QuotientFieldCtx):
             return field.pow(primitive, u)
         u += step
     raise InternalError("no unit exponent reaches the class of x")
+
+
+def generator_by_walk(qctx: QuotientFieldCtx):
+    """The constrained generator of one quotient field, by a walk.
+
+    Step through (primitive**x_exponent)**u for u < rotation_order until it
+    hits x_class, then step u by rotation_order until it is a unit mod
+    group_order.
+    """
+    field = qctx.field
+    n_units = qctx.group_order
+    primitive = find_primitive(field)
+    h = field.pow(primitive, qctx.x_exponent)
+    u, acc = 0, field.one
+    while acc != qctx.x_class:
+        u, acc = u + 1, field.mul(acc, h)
+        if u == qctx.rotation_order:
+            raise InternalError("class of x lies outside the subgroup of its order")
+    for _ in range(n_units + 1):
+        if math.gcd(u, n_units) == 1:
+            return field.pow(primitive, u)
+        u += qctx.rotation_order
+    raise InternalError("no unit exponent reaches the class of x")
+
+
+def element_order(field, a) -> int:
+    """Multiplicative order of a nonzero element, via divisors of |F*|."""
+    if a == field.zero:
+        raise ZeroElementError("zero has no multiplicative order")
+    k = field.order - 1
+    for f in factorize(k):
+        while k % f.p == 0 and field.pow(a, k // f.p) == field.one:
+            k //= f.p
+    return k
 
 
 def units_by_search(tables: CosetTable, support) -> tuple[int, ...]:

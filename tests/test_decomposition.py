@@ -162,6 +162,12 @@ class TestShift:
         for a in range(5):
             for b in range(5):
                 assert shift(shift(w, a), b) == shift(w, (a + b) % 5)
+        # the slice form agrees with the per-index definition, and lists
+        # come back as tuples
+        for k in range(-10, 11):
+            assert shift(w, k) == tuple(w[(v - k) % 5] for v in range(5))
+            assert shift(list(w), k) == shift(w, k)
+            assert type(shift(list(w), k)) is tuple
 
 
 class TestOrbitCanonical:

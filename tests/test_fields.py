@@ -12,12 +12,11 @@ from necklacemap.fields import (
     baby_table,
     build_field,
     discrete_log,
-    element_order,
     extend_field,
     find_primitive,
 )
 from necklacemap.numtheory import RingParams
-from reference import generator_by_log
+from reference import element_order, generator_by_log, generator_by_walk
 
 
 def small_prime_powers(limit):
@@ -99,6 +98,40 @@ class TestArithmetic:
         f = build_field(3, 3)
         for i in range(f.order):
             assert f.to_index(f.from_index(i)) == i
+
+    def test_pow_multiplication_count(self, monkeypatch):
+        # left-to-right binary powering: one squaring per bit after the top
+        # one and one multiplication per further set bit, nothing for e = 1
+        f = build_field(3, 4)
+        a = f.from_index(5)
+        powers = [f.one]
+        for _ in range(160):
+            powers.append(f.mul(powers[-1], a))
+        inv_powers = [f.one]
+        for _ in range(80):
+            inv_powers.append(f.mul(inv_powers[-1], f.inv(a)))
+        for e in range(-80, 161):
+            assert f.pow(a, e) == (powers[e] if e >= 0 else inv_powers[-e]), e
+        calls = []
+        mul = ExtensionField.mul
+        monkeypatch.setattr(
+            ExtensionField, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y)
+        )
+        for e, expected in [(0, 0), (1, 0), (2, 1), (193, 9)]:
+            calls.clear()
+            f.pow(a, e)
+            assert len(calls) == expected, e
+
+    def test_extension_tests_each_candidate_once(self, monkeypatch):
+        # the canonical degree-4 modulus over F3 is the sixth candidate
+        calls = []
+        is_irreducible = polys.is_irreducible
+        monkeypatch.setattr(
+            polys, "is_irreducible", lambda base, m: calls.append(m) or is_irreducible(base, m)
+        )
+        f = extend_field(PrimeField(3), 4)
+        assert len(calls) == 6 and calls[-1] == f.modulus
+        assert len(set(calls)) == 6
 
     def test_tower_field(self):
         # degree-2 extension of GF(4): 16 elements, arithmetic closes
@@ -185,6 +218,13 @@ class TestQuotientCtx:
         # x+1 over F5 puts -1 in place of x, order 2, but rep=0 demands order 1
         with pytest.raises(OrderMismatchError):
             QuotientFieldCtx(PrimeField(5), (1, 1), n=3, rep=0)
+        # x-1 over F7 puts 1 in place of x: its log 0 is a multiple of
+        # x_exponent 2, but 1 has order 1, not 3
+        with pytest.raises(OrderMismatchError):
+            QuotientFieldCtx(PrimeField(7), (6, 1), n=3, rep=1)
+        # F5 has no unit of order 3 at all
+        with pytest.raises(OrderMismatchError):
+            QuotientFieldCtx(PrimeField(5), (1, 1), n=3, rep=1)
 
     def test_generator_constraint_across_reps(self):
         # all quotients of x^5 - 1 over F4
@@ -200,8 +240,8 @@ class TestQuotientCtx:
 
     def test_generator_matches_log_derivation(self):
         # every coprime (n, q) with n <= 15, q <= 10 whose quotient unit
-        # groups all stay at most 728 (3^6 - 1): the walk and the full log
-        # give the same generator in every quotient field
+        # groups all stay at most 728 (3^6 - 1): the tree's log, the walk and
+        # the whole-group log give the same generator in every quotient field
         seen_t, shared_gcd, rep_zero, compared = set(), 0, 0, 0
         for q in range(2, 11):
             for n in range(1, 16):
@@ -216,6 +256,7 @@ class TestQuotientCtx:
                 for block in build_tables(params).blocks:
                     for qctx in block.quotients:
                         assert qctx.generator == generator_by_log(qctx), (n, q, qctx.rep)
+                        assert qctx.generator == generator_by_walk(qctx), (n, q, qctx.rep)
                         seen_t.add(block.factor.t)
                         shared_gcd += qctx.rep_gcd > 1 and qctx.rep != 0
                         rep_zero += qctx.rep == 0
