@@ -6,7 +6,9 @@ power q_i (and identifying [0, q_i) with F_{q_i} through the canonical
 element indexing) gives one polynomial per factor; reducing that modulo
 the irreducible factors of x**n - 1 over F_{q_i} gives one residue per
 cyclotomic coset.  Both reductions are invertible, which is what
-crt_combine implements.
+crt_combine implements in Garner's cofactor form (IRE Trans. Electronic
+Computers EC-8(2), 1959).  Only set-up uses the generic polys module; per
+word, both directions run on the quotient fields' remainder and products.
 """
 
 from __future__ import annotations
@@ -73,10 +75,7 @@ def cyclotomic_cosets(n: int, qi: int) -> list[CyclotomicCoset]:
 
 
 def _xn_minus_1(field, n: int) -> tuple:
-    coeffs = [field.zero] * (n + 1)
-    coeffs[0] = field.neg(field.one)
-    coeffs[n] = field.add(coeffs[n], field.one)
-    return polys.trim(field, coeffs)
+    return (field.neg(field.one),) + (field.zero,) * (n - 1) + (field.one,)
 
 
 def _root_of_unity(ext, n: int):
@@ -144,11 +143,13 @@ class FactorBlock:
     cosets: tuple[CyclotomicCoset, ...]
     factor_polys: tuple[tuple, ...]
     quotients: tuple[QuotientFieldCtx, ...]
-    crt_idempotents: tuple[tuple, ...]
+    # per quotient, (C_j, h_j): the cofactor (x**n - 1) / P_j and its inverse mod P_j
+    crt_cofactors: tuple[tuple[tuple, tuple], ...]
 
 
 class CosetTable:
-    """Per-factor coset data plus both CRT directions, fully precomputed."""
+    """Per-factor coset data plus both CRT directions, fully precomputed:
+    per quotient F[x]/P_j, the cofactor C_j = (x**n - 1) / P_j and h_j = C_j**-1 in F[x]/P_j."""
 
     def __init__(self, params: RingParams):
         self.params = params
@@ -162,7 +163,7 @@ class CosetTable:
                 QuotientFieldCtx(field, poly, n, coset.rep)
                 for coset, poly in zip(cosets, factor_polys)
             )
-            idempotents = self._idempotents(field, n, factor_polys, quotients)
+            cofactors = self._cofactors(field, n, factor_polys, quotients)
             blocks.append(
                 FactorBlock(
                     factor=factor,
@@ -170,7 +171,7 @@ class CosetTable:
                     cosets=cosets,
                     factor_polys=factor_polys,
                     quotients=quotients,
-                    crt_idempotents=idempotents,
+                    crt_cofactors=cofactors,
                 )
             )
         self.blocks: tuple[FactorBlock, ...] = tuple(blocks)
@@ -178,18 +179,15 @@ class CosetTable:
         self.automorphisms = AutomorphismTable(self)
 
     @staticmethod
-    def _idempotents(field, n, factor_polys, quotients) -> tuple[tuple, ...]:
-        """CRT basis: eps_j = 1 mod P_j and 0 mod every other factor."""
+    def _cofactors(field, n, factor_polys, quotients) -> tuple[tuple[tuple, tuple], ...]:
+        """(C_j, h_j) per quotient: C_j = (x**n - 1) / P_j, h_j = C_j**-1 mod P_j."""
         xn1 = _xn_minus_1(field, n)
         out = []
         for poly, qctx in zip(factor_polys, quotients):
             cofactor, rem = polys.divmod_(field, xn1, poly)
             if rem:
                 raise InternalError("coset factor does not divide x**n - 1")
-            unit = qctx.field.from_poly(cofactor)
-            inv_poly = polys.trim(field, qctx.field.inv(unit))
-            eps = polys.mod(field, polys.mul(field, cofactor, inv_poly), xn1)
-            out.append(eps)
+            out.append((cofactor, qctx.field.inv(qctx.field.from_poly(cofactor))))
         return tuple(out)
 
     @staticmethod
@@ -224,39 +222,32 @@ def crt_split(tables: CosetTable, word) -> tuple[tuple, ...]:
     for block in tables.blocks:
         field = block.field
         qi = block.factor.value
-        coeffs = polys.trim(field, [field.from_index(c % qi) for c in word])
+        coeffs = [field.from_index(c % qi) for c in word]
         out.append(tuple(qctx.field.from_poly(coeffs) for qctx in block.quotients))
     return tuple(out)
 
 
 def crt_combine(tables: CosetTable, residues) -> tuple[int, ...]:
-    """Inverse of crt_split: residues back to the unique color word."""
+    """Inverse of crt_split: per factor, sum(C_j * (h_j * r_j)) over the quotients.
+    deg(h_j * r_j) < deg P_j = n - deg C_j, so no term needs reducing mod x**n - 1."""
     n, q = tables.params.n, tables.params.q
     if len(residues) != len(tables.blocks):
         raise ValueError("one residue group per factor required")
-    per_factor_coeffs = []
-    for block, group in zip(tables.blocks, residues):
+    colors = [0] * n
+    for block, basis, group in zip(tables.blocks, tables.color_basis, residues):
         field = block.field
+        zero, add, mul = field.zero, field.add, field.mul
         if len(group) != len(block.quotients):
             raise ValueError("one residue per coset required")
-        acc = ()
-        xn1 = _xn_minus_1(field, n)
-        for eps, residue in zip(block.crt_idempotents, group):
-            lifted = polys.trim(field, residue)
-            term = polys.mod(field, polys.mul(field, eps, lifted), xn1)
-            acc = polys.add(field, acc, term)
-        coeffs = list(acc) + [field.zero] * (n - len(acc))
-        per_factor_coeffs.append(coeffs)
-
-    word = []
-    for v in range(n):
-        color = 0
-        for block, basis, coeffs in zip(
-            tables.blocks, tables.color_basis, per_factor_coeffs
-        ):
-            color += basis * block.field.to_index(coeffs[v])
-        word.append(color % q)
-    return tuple(word)
+        coeffs = [zero] * n
+        for (cofactor, unit), qctx, residue in zip(block.crt_cofactors, block.quotients, group):
+            for i, c in enumerate(qctx.field.mul(unit, qctx.field.from_poly(residue))):
+                if c != zero:
+                    for k, cc in enumerate(cofactor, i):
+                        coeffs[k] = add(coeffs[k], mul(c, cc))
+        for v, c in enumerate(coeffs):
+            colors[v] += basis * field.to_index(c)
+    return tuple(c % q for c in colors)
 
 
 def shift(word, k: int) -> tuple[int, ...]:

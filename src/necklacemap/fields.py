@@ -3,7 +3,8 @@
 Elements are plain data: an element of a prime field is an int in [0, p);
 an element of an extension of degree t is a t-tuple of base-field elements
 (little-endian in powers of the defining root).  Both are hashable and
-compare structurally, so they work as dict keys without wrappers.
+compare structurally, so they work as dict keys without wrappers.  An
+extension reduces products and residues alike by one remainder routine.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -72,7 +73,7 @@ class PrimeField:
 
 
 class ExtensionField:
-    """base[x] modulo a monic irreducible; elements are coefficient tuples."""
+    """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce."""
 
     def __init__(self, base, modulus: tuple):
         if len(modulus) < 2 or modulus[-1] != base.one:
@@ -84,22 +85,30 @@ class ExtensionField:
         self.degree = len(modulus) - 1
         self.order = base.order**self.degree
         self.zero = (base.zero,) * self.degree
-        self.one = self._pad((base.one,))
-        # x**u mod modulus for u up to 2*(degree-1), used by mul's reduction
-        self._xpow = []
-        acc = (base.one,)
-        for _ in range(2 * self.degree - 1):
-            self._xpow.append(self._pad(acc))
-            acc = polys.mod(base, polys.mul(base, acc, polys.x(base)), self.modulus)
+        self.one = (base.one,) + self.zero[1:]
+        # for _reduce, bound once: base zero, sub, mul; low powers with coefficient one; the rest
+        low = tuple(enumerate(self.modulus[:-1]))
+        ones = tuple(v for v, m in low if m == base.one)
+        tail = tuple((v, m) for v, m in low if m not in (base.zero, base.one))
+        self._reduction = (base.zero, base.sub, base.mul, ones, tail)
 
-    def _pad(self, coeffs) -> tuple:
-        if len(coeffs) > self.degree:
-            raise ValueError("coefficient sequence too long")
-        return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
+    def _reduce(self, rem: list) -> tuple:
+        """rem mod the modulus by long division from the top, in place; len(rem) >= degree."""
+        zero, sub, mul, ones, tail = self._reduction
+        t = self.degree
+        for u in range(len(rem) - 1, t - 1, -1):
+            c = rem[u]
+            if c != zero:
+                k = u - t
+                for v in ones:
+                    rem[k + v] = sub(rem[k + v], c)
+                for v, m in tail:
+                    rem[k + v] = sub(rem[k + v], mul(c, m))
+        return tuple(rem[:t])
 
     def from_poly(self, coeffs) -> tuple:
         """Reduce a coefficient sequence over the base field to an element."""
-        return self._pad(polys.mod(self.base, polys.trim(self.base, coeffs), self.modulus))
+        return self._reduce(list(coeffs) + [self.base.zero] * (self.degree - len(coeffs)))
 
     def in_base(self, a: tuple):
         """Return the base-field preimage of a, or None if a is not constant."""
@@ -120,23 +129,14 @@ class ExtensionField:
         return tuple(base.neg(x) for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        base = self.base
-        t = self.degree
-        conv = [base.zero] * (2 * t - 1)
+        zero, add, mul = self.base.zero, self.base.add, self.base.mul
+        conv = [zero] * (2 * self.degree - 1)
         for i, ca in enumerate(a):
-            if ca == base.zero:
+            if ca == zero:
                 continue
             for j, cb in enumerate(b):
-                conv[i + j] = base.add(conv[i + j], base.mul(ca, cb))
-        out = list(conv[:t])
-        for u in range(t, 2 * t - 1):
-            c = conv[u]
-            if c == base.zero:
-                continue
-            red = self._xpow[u]
-            for v in range(t):
-                out[v] = base.add(out[v], base.mul(c, red[v]))
-        return tuple(out)
+                conv[i + j] = add(conv[i + j], mul(ca, cb))
+        return self._reduce(conv)
 
     def inv(self, a: tuple) -> tuple:
         if a == self.zero:

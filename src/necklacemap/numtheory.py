@@ -32,19 +32,8 @@ class PrimePowerFactor:
 
 
 def is_prime(m: int) -> bool:
-    """Trial-division primality test, fine for desk-scale inputs."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by factorize's trial division, fine for desk-scale inputs."""
+    return m >= 2 and factorize(m) == [PrimePowerFactor(m, 1)]
 
 
 def factorize(m: int, order: str = "desc") -> list[PrimePowerFactor]:

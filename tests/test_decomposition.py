@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from necklacemap import polys
+from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import (
     crt_combine,
     crt_split,
@@ -116,7 +118,21 @@ class TestCrt:
         t = tables_for(3, 10)
         assert crt_combine(t, crt_split(t, (1, 1, 1))) == (1, 1, 1)
 
-    @pytest.mark.parametrize("n,q", [(3, 10), (5, 6), (4, 3)])
+    def test_combine_takes_residues_by_class(self, tables_for):
+        # any polynomial congruent to r_j mod P_j combines like r_j itself
+        t = tables_for(5, 6)
+        word = (1, 4, 0, 5, 2)
+        lifted = tuple(
+            tuple(
+                polys.add(b.field, r, polys.mul(b.field, qc.field.modulus, (b.field.one,) * 3))
+                for r, qc in zip(group, b.quotients)
+            )
+            for group, b in zip(crt_split(t, word), t.blocks)
+        )
+        assert any(len(r) > qc.field.degree for r, qc in zip(lifted[0], t.blocks[0].quotients))
+        assert crt_combine(t, lifted) == word
+
+    @pytest.mark.parametrize("n,q", [(3, 10), (5, 6), (4, 3), (5, 4), (3, 8)])
     def test_round_trip_exhaustive(self, tables_for, n, q):
         t = tables_for(n, q)
         for word in product(range(q), repeat=n):
@@ -129,6 +145,22 @@ class TestCrt:
         t = tables_for(5, 12)
         word = tuple(data.draw(st.integers(0, 11)) for _ in range(5))
         assert crt_combine(t, crt_split(t, word)) == word
+
+    @pytest.mark.parametrize("n,q", [(5, 6), (63, 2), (33, 4)])
+    def test_words_never_reach_polys(self, tables_for, monkeypatch, n, q):
+        # after set-up, both CRT directions run on the quotient fields alone
+        t = tables_for(n, q)
+
+        def refuse(*args):
+            raise AssertionError("a per-word call reached polys")
+
+        for name in ("divmod_", "mod", "mul", "add", "trim"):
+            monkeypatch.setattr(polys, name, refuse)
+        rng = random.Random(1000 * n + q)
+        for _ in range(20):
+            word = tuple(rng.randrange(q) for _ in range(n))
+            assert crt_combine(t, crt_split(t, word)) == word
+            assert unmap_function(t, map_necklace(t, word)) == orbit_canonical(word)
 
     def test_split_of_shift_scales_by_x_class(self, tables_for):
         t = tables_for(3, 10)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -132,6 +133,27 @@ class TestArithmetic:
         f = extend_field(PrimeField(3), 4)
         assert len(calls) == 6 and calls[-1] == f.modulus
         assert len(set(calls)) == 6
+
+    @pytest.mark.parametrize(
+        "base,d", [(PrimeField(3), 4), (build_field(2, 2), 5), (PrimeField(2), 6)]
+    )
+    def test_remainder_matches_polys(self, base, d):
+        # polys is the reference for the one remainder that from_poly and mul share
+        f = extend_field(base, d)
+        rng = random.Random(100 * base.order + d)
+
+        def reference(coeffs):
+            r = polys.mod(base, polys.trim(base, coeffs), f.modulus)
+            return r + (base.zero,) * (d - len(r))
+
+        for length in range(3 * d + 3):
+            for _ in range(5):
+                coeffs = [base.from_index(rng.randrange(base.order)) for _ in range(length)]
+                assert f.from_poly(coeffs) == reference(coeffs), (length, coeffs)
+        for _ in range(50):
+            a, b = f.from_index(rng.randrange(f.order)), f.from_index(rng.randrange(f.order))
+            product = polys.mul(base, polys.trim(base, a), polys.trim(base, b))
+            assert f.mul(a, b) == reference(product)
 
     def test_tower_field(self):
         # degree-2 extension of GF(4): 16 elements, arithmetic closes
