@@ -115,13 +115,9 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
         for k in coset.members:
             root = ext.pow(omega, k)
             poly = polys.mul(ext, poly, (ext.neg(root), ext.one))
-        down = []
-        for c in poly:
-            base_c = ext.in_base(c)
-            if base_c is None:
-                raise InternalError("factor coefficient escaped the base field")
-            down.append(base_c)
-        descended = polys.trim(field, down)
+        if any(c[1:] != ext.zero[1:] for c in poly):
+            raise InternalError("factor coefficient escaped the base field")
+        descended = polys.trim(field, [c[0] for c in poly])
         if polys.degree(descended) != coset.size:
             raise InternalError("factor degree does not match its coset")
         factors.append(descended)

@@ -1,10 +1,12 @@
-"""Finite fields as towers: prime fields, extensions, and quotient contexts.
+"""Finite fields in one level: prime fields, GF(p**t) by tables, extensions, quotient contexts.
 
-Elements are plain data: an element of a prime field is an int in [0, p);
-an element of an extension of degree t is a t-tuple of base-field elements
-(little-endian in powers of the defining root).  Both are hashable and
-compare structurally, so they work as dict keys without wrappers.  An
-extension reduces products and residues alike by one remainder routine.
+Elements are plain data.  An element of a prime field is an int in [0, p),
+and so is one of GF(p**t): its own canonical index, multiplied and added
+by table.  An element of an extension of degree t over either is a t-tuple
+of base elements (little-endian in powers of the defining root), so
+extensions never nest and their products never recurse.  All hash and
+compare structurally.  An extension reduces products and residues alike
+by one remainder routine.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -15,7 +17,7 @@ constant upward.  That keeps the whole construction reproducible.
 from __future__ import annotations
 
 import math
-from itertools import product
+import operator
 from typing import Union
 
 from . import polys
@@ -34,11 +36,8 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-        self.p = p
-        self.degree = 1
-        self.order = p
-        self.zero = 0
-        self.one = 1 % p
+        self.p = self.order = p
+        self.degree, self.zero, self.one = 1, 0, 1 % p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -110,23 +109,14 @@ class ExtensionField:
         """Reduce a coefficient sequence over the base field to an element."""
         return self._reduce(list(coeffs) + [self.base.zero] * (self.degree - len(coeffs)))
 
-    def in_base(self, a: tuple):
-        """Return the base-field preimage of a, or None if a is not constant."""
-        if any(c != self.base.zero for c in a[1:]):
-            return None
-        return a[0]
-
     def add(self, a: tuple, b: tuple) -> tuple:
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.add, a, b))
 
     def sub(self, a: tuple, b: tuple) -> tuple:
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.sub, a, b))
 
     def neg(self, a: tuple) -> tuple:
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+        return tuple(map(self.base.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         zero, add, mul = self.base.zero, self.base.add, self.base.mul
@@ -157,52 +147,126 @@ class ExtensionField:
         return result
 
     def from_index(self, i: int) -> tuple:
-        base = self.base
-        digits = []
-        for _ in range(self.degree):
-            i, r = divmod(i, base.order)
-            digits.append(base.from_index(r))
-        return tuple(digits)
+        return _digits(self.base, i, self.degree)
 
     def to_index(self, a: tuple) -> int:
-        base = self.base
-        i = 0
-        for c in reversed(a):
-            i = i * base.order + base.to_index(c)
-        return i
+        q = self.base.order
+        return sum(self.base.to_index(c) * q**u for u, c in enumerate(a))
 
     def __repr__(self):
         return f"ExtensionField(order={self.order}, base={self.base!r})"
 
 
-Field = Union[PrimeField, ExtensionField]
+class TableField:
+    """GF(p**t), t > 1, as ints: index i is the element of extend_field(PrimeField(p), t)
+    whose coefficients are i's base-p digits.  Products, inverses and powers read
+    exp/log tables of one primitive g's powers.  Sums are XOR for p = 2; for odd
+    p they take Zech's logarithm Z(d) = log(1 + g**d), as g**a + g**b =
+    g**(a + Z(b - a)) (K. Huber, IEEE Trans. IT 36(4), 1990)."""
+
+    from_index = to_index = staticmethod(lambda i: i)
+
+    def __init__(self, p: int, t: int):
+        flat = extend_field(PrimeField(p), t)
+        self.base, self.modulus, self.degree, self.order = flat.base, flat.modulus, t, flat.order
+        self.zero, self.one, self._n = 0, 1, flat.order - 1
+        exp, log = _powers(flat, find_primitive(flat)), [0] * self.order
+        for k, a in enumerate(exp):
+            log[a] = k
+        self._exp, self._log = exp + exp, log
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+        else:  # 1 + a adds one to a's lowest digit; Z(n/2) = -1 marks 1 + g**(n/2) = 1 - 1 = 0
+            self._zech = [-1 if a == p - 1 else log[a + 1 - p if a % p == p - 1 else a + 1]
+                          for a in exp]
+
+    def add(self, a: int, b: int) -> int:
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod n, as logs do
+        return self._exp[la + z] if z >= 0 else 0
+
+    def neg(self, a: int) -> int:
+        return self._exp[self._log[a] + self._n // 2] if a else 0  # -1 = g**(n/2)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
+
+    def pow(self, a: int, e: int) -> int:
+        if not a and e < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._log[a] * e % self._n] if a else int(e == 0)
+
+    def __repr__(self):
+        return f"TableField(order={self.order})"
+
+
+def _powers(flat: ExtensionField, g) -> list:
+    """Indices of g**k for k in [0, order - 1).  Multiplying by g is linear,
+    so a step sums digitwise mod p the tabled images of the index's three
+    chunks of w = ceil(t/3) base-p digits, two at a time by a table of sums."""
+    p, t = flat.base.order, flat.degree
+    w = -(-t // 3)
+    P, s = p**w, [0]  # s[u * P + v] is the digitwise sum of w-digit u and v
+    for m in (p**k for k in range(w)):  # sums of k + 1 digits from sums of k
+        s = [(du + dv) % p * m + s[ru * m + rv]
+             for du in range(p) for ru in range(m) for dv in range(p) for rv in range(m)]
+
+    def chunks(c, scale):  # index(c * g) in chunks, times scale
+        i = flat.to_index(flat.mul(flat.from_index(c), g))
+        return i % P * scale, i // P % P * scale, i // P // P * scale
+
+    low, mid = [chunks(c, P) for c in range(P)], [chunks(c * P, 1) for c in range(P)]
+    high = [chunks(c * P * P, 1) for c in range(p ** (t - 2 * w))]
+    out, x0, x1, x2 = [], 1, 0, 0
+    for _ in range(flat.order - 1):
+        out.append(x0 + (x1 + x2 * P) * P)
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = low[x0], mid[x1], high[x2]
+        x0, x1, x2 = s[s[a0 + b0] * P + c0], s[s[a1 + b1] * P + c1], s[s[a2 + b2] * P + c2]
+    return out
+
+
+Field = Union[PrimeField, TableField, ExtensionField]
+TABLE_LIMIT = 1 << 20  # the largest order that build_field tabulates
 
 
 def build_field(p: int, t: int) -> Field:
-    """The field of order p**t; plain residues for t = 1."""
-    prime = PrimeField(p)
-    return prime if t == 1 else extend_field(prime, t)
+    """GF(p**t): residues for t = 1, a TableField up to TABLE_LIMIT, tuples above it."""
+    if t == 1:
+        return PrimeField(p)
+    return TableField(p, t) if p**t <= TABLE_LIMIT else extend_field(PrimeField(p), t)
 
 
 def extend_field(base, t: int) -> ExtensionField:
     """Degree-t extension of any field context by its canonical modulus.
 
     The modulus is the first monic irreducible of degree t in canonical
-    order; each candidate's one irreducibility test is the one
-    ExtensionField makes.  Always a fresh ExtensionField, t = 1 included:
-    its elements are then 1-tuples over base, and in_base maps them back down.
+    order: candidate k has the base-order digits of k as its coefficients,
+    the constant lowest.  Each candidate's one irreducibility test is the
+    one ExtensionField makes.  Always a fresh ExtensionField, t = 1
+    included: its elements are then 1-tuples over base.
     """
     if t < 1:
         raise ValueError("degree must be positive")
-    elements = [base.from_index(r) for r in range(base.order)]
-    # product varies its last entry fastest, so reversed it counts up from
-    # the constant coefficient
-    for high_first in product(elements, repeat=t):
+    for k in range(base.order**t):
         try:
-            return ExtensionField(base, high_first[::-1] + (base.one,))
+            return ExtensionField(base, (*_digits(base, k, t), base.one))
         except ValueError:  # reducible
             continue
     raise InternalError(f"no irreducible of degree {t} found")  # pragma: no cover
+
+
+def _digits(base, i: int, t: int) -> tuple:
+    """The t lowest base-order digits of i, least significant first, as elements."""
+    return tuple(base.from_index(i // base.order**u % base.order) for u in range(t))
 
 
 def find_primitive(field):

@@ -1,15 +1,19 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from necklacemap import polys
+from necklacemap import decomposition, fields, polys
+from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import build_tables, cyclotomic_cosets
 from necklacemap.errors import NotPrimeError, OrderMismatchError, ZeroElementError
 from necklacemap.fields import (
     ExtensionField,
     PrimeField,
     QuotientFieldCtx,
+    TableField,
     baby_table,
     build_field,
     discrete_log,
@@ -70,9 +74,9 @@ class TestArithmetic:
         assert PrimeField(5).inv(3) == 2
 
     def test_gf4_square_of_root(self):
+        # x is index 2 and x + 1 is index 3
         f = build_field(2, 2)
-        x = (0, 1)
-        assert f.mul(x, x) == (1, 1)
+        assert f.mul(2, 2) == 3
 
     @pytest.mark.parametrize("p,t", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 4)])
     def test_lagrange(self, p, t):
@@ -103,7 +107,7 @@ class TestArithmetic:
     def test_pow_multiplication_count(self, monkeypatch):
         # left-to-right binary powering: one squaring per bit after the top
         # one and one multiplication per further set bit, nothing for e = 1
-        f = build_field(3, 4)
+        f = extend_field(PrimeField(3), 4)
         a = f.from_index(5)
         powers = [f.one]
         for _ in range(160):
@@ -166,6 +170,125 @@ class TestArithmetic:
         assert f.sub(f.add(a, b), b) == a
 
 
+class TestTableField:
+    """TableField against the one-level tuple field with the same modulus,
+    extend_field(PrimeField(p), t), compared through from_index/to_index."""
+
+    @staticmethod
+    def table_and_flat(p, t):
+        f, flat = build_field(p, t), extend_field(PrimeField(p), t)
+        assert isinstance(f, TableField) and f.modulus == flat.modulus and f.order == flat.order
+        return f, flat
+
+    def check_pair(self, f, flat, a, b):
+        up, down = flat.from_index, flat.to_index
+        assert f.add(a, b) == down(flat.add(up(a), up(b))), (a, b)
+        assert f.sub(a, b) == down(flat.sub(up(a), up(b))), (a, b)
+        assert f.mul(a, b) == down(flat.mul(up(a), up(b))), (a, b)
+
+    def check_element(self, f, flat, a):
+        up, down = flat.from_index, flat.to_index
+        assert f.neg(a) == down(flat.neg(up(a))), a
+        if a:
+            assert f.inv(a) == down(flat.inv(up(a))), a
+        for e in (-3, 0, 1, 2, f.order):
+            if a or e >= 0:
+                assert f.pow(a, e) == down(flat.pow(up(a), e)), (a, e)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    f.pow(a, e)
+
+    @pytest.mark.parametrize("p,t", [(p, t) for p, t in small_prime_powers(64) if t > 1])
+    def test_exhaustive_up_to_64(self, p, t):
+        f, flat = self.table_and_flat(p, t)
+        for a in range(f.order):
+            for b in range(f.order):
+                self.check_pair(f, flat, a, b)
+            self.check_element(f, flat, a)
+        with pytest.raises(ZeroDivisionError):
+            f.inv(f.zero)
+
+    @pytest.mark.parametrize(
+        "p,t", [(p, t) for p, t in small_prime_powers(256) if t > 1 and p**t > 64] + [(2, 16)]
+    )
+    def test_seeded_samples(self, p, t):
+        f, flat = self.table_and_flat(p, t)
+        rng = random.Random(1000 * p + t)
+        for _ in range(300):
+            self.check_pair(f, flat, rng.randrange(f.order), rng.randrange(f.order))
+            self.check_element(f, flat, rng.randrange(f.order))
+        for a in (0, 1, f.order - 1):
+            self.check_element(f, flat, a)
+
+    def test_tuple_base_above_the_limit(self, monkeypatch, tables_for):
+        # past TABLE_LIMIT a base field keeps coefficient tuples, with the same images
+        assert isinstance(build_field(2, 21), ExtensionField)
+        monkeypatch.setattr(fields, "TABLE_LIMIT", 3)
+        tables = build_tables(RingParams.create(5, 4))
+        assert isinstance(tables.blocks[0].field, ExtensionField)
+        reference = tables_for(5, 4)
+        rng = random.Random(54)
+        for _ in range(50):
+            word = tuple(rng.randrange(4) for _ in range(5))
+            assert map_necklace(tables, word) == map_necklace(reference, word), word
+
+
+def golden_instances():
+    """Every (n, q) that a golden case builds tables for and that exits 0."""
+    cases = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+    out = set()
+    for case in cases:
+        args = [a for a in case["argv"] if not a.startswith("-")]
+        if case["exit"] == 0 and args[0] in ("cosets", "factors", "map", "unmap", "verify"):
+            out.add((int(args[1]), int(args[2])))
+    return sorted(out)
+
+
+class TestOneLevel:
+    def test_no_extension_has_an_extension_base(self, monkeypatch):
+        # quotient fields and splitting fields sit one level over an int-valued base
+        splitting = []
+
+        def recording(base, t):
+            splitting.append(extend_field(base, t))
+            return splitting[-1]
+
+        monkeypatch.setattr(decomposition, "extend_field", recording)
+        instances = golden_instances()
+        assert (33, 4) in instances and (11, 12) in instances
+        quotients = 0
+        for n, q in instances:
+            for block in build_tables(RingParams.create(n, q)).blocks:
+                for qctx in block.quotients:
+                    assert not isinstance(qctx.field.base, ExtensionField), (n, q)
+                    quotients += 1
+        assert quotients and splitting
+        assert not any(isinstance(ext.base, ExtensionField) for ext in splitting)
+
+    def test_products_never_recurse(self, monkeypatch, tables_for):
+        tables = tables_for(33, 4)
+        depth, calls, nested = [0], [0], [0]
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            calls[0] += 1
+            nested[0] += depth[0] > 0
+            depth[0] += 1
+            try:
+                return mul(self, a, b)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        rng = random.Random(33)
+        for _ in range(5):
+            word = tuple(rng.randrange(4) for _ in range(33))
+            assert unmap_function(tables, map_necklace(tables, word)) == min(
+                word[k:] + word[:k] for k in range(33)
+            )
+        assert calls[0] > 0 and nested[0] == 0
+
+
 class TestOrders:
     def test_order_of_one(self):
         assert element_order(PrimeField(5), 1) == 1
@@ -175,7 +298,7 @@ class TestOrders:
 
     def test_order_of_root_in_gf4(self):
         f = build_field(2, 2)
-        assert element_order(f, (0, 1)) == 3
+        assert element_order(f, 2) == 3
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroElementError):
