@@ -4,12 +4,13 @@ Forward direction, per word:
  1. split: residues in every quotient field, support = nonzero pattern;
  2. discrete logs, split into (turns, offset) per supported coset;
  3. align the turns with the unit automorphism for this support;
- 4. every digit starts saturated at q_i - 1, which is what an unsupported
-    coset shows; a supported coset overwrites its orbit with the base-q_i
-    digits of payload = offset * rotation_order + aligned_turns, least
-    significant first (encode_components writes this, live_payloads reads
-    it back);
- 5. color value at v = sum_i weight_i * digit_i(v).
+ 4. payload = offset * rotation_order + aligned_turns per supported coset
+    (encode_components);
+ 5. the payloads write the color values f(v) = sum_i w_i * digit_i(v)
+    directly (combine_components): every value starts at q - 1, each digit
+    saturated at q_i - 1 as an unsupported coset shows, and each payload
+    lowers its orbit by w_i * (q_i - 1 - d) for its base-q_i digits d,
+    least significant first; live_payloads reads the payloads back.
 
 A necklace maps to the image of the unique rotation of its word whose
 function has weighted sum 0 (mod n).  That rotation is solved for, not
@@ -45,68 +46,44 @@ def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism) -> tuple[int, ...
 
 def encode_components(
     tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism
-) -> list[list[int]]:
-    """Per-factor digit functions for one word.
-
-    Every position starts at q_i - 1, the digit of an unsupported coset.
-    Each supported coset then writes its payload, offset * rotation_order +
-    aligned turns, as base-q_i digits along its orbit, least significant
-    first.  The payload stays below q_i**size - 1, so no supported block is
-    saturated; live_payloads reads the layout back.
-    """
-    comps = [[block.factor.value - 1] * tables.params.n for block in tables.blocks]
+) -> dict[tuple[int, int], int]:
+    """{(i, j): offset * rotation_order + aligned turns} of the supported cosets,
+    each below q_i**size - 1, the saturated digit block of an unsupported coset."""
+    payloads = {}
     for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut)):
         block = tables.blocks[i]
-        qi, coset = block.factor.value, block.cosets[j]
+        bound = block.factor.value ** block.cosets[j].size - 1
         payload = prof.entry(i, j).offset * block.quotients[j].rotation_order + aligned
-        if not 0 <= payload < qi**coset.size - 1:
-            raise RangeViolationError(
-                f"digit payload {payload} escapes [0, {qi**coset.size - 1})"
-            )
-        for pos in coset.orbit:
-            payload, comps[i][pos] = divmod(payload, qi)
-    return comps
+        if not 0 <= payload < bound:
+            raise RangeViolationError(f"digit payload {payload} escapes [0, {bound})")
+        payloads[(i, j)] = payload
+    return payloads
 
 
-def combine_components(tables: CosetTable, comps) -> tuple[int, ...]:
-    """Mix per-factor digits into color values: f(v) = sum w_i * f_i(v)."""
+def combine_components(tables: CosetTable, payloads) -> tuple[int, ...]:
+    """Color values sum w_i * digit_i(v) of a payload dict: each starts at
+    q - 1 = sum w_i * (q_i - 1), every digit saturated, and each payload lowers
+    its orbit by w_i * (q_i - 1 - d) per base-q_i digit d, least significant first."""
     params = tables.params
-    for block, comp in zip(tables.blocks, comps):
-        qi = block.factor.value
-        for d in comp:
-            if not 0 <= d < qi:
-                raise ValueError(f"digit {d} outside [0, {qi})")
-    values = []
-    for v in range(params.n):
-        values.append(sum(w * comp[v] for w, comp in zip(params.weights, comps)))
+    values = [params.q - 1] * params.n
+    for (i, j), payload in payloads.items():
+        qi, w = tables.blocks[i].factor.value, params.weights[i]
+        for pos in tables.blocks[i].cosets[j].orbit:
+            payload, d = divmod(payload, qi)
+            values[pos] -= w * (qi - 1 - d)
     return tuple(values)
 
 
-def split_components(tables: CosetTable, values) -> list[list[int]]:
-    """Inverse of combine_components: per-factor digits of each color value."""
-    params = tables.params
-    comps = []
-    for w, factor in zip(params.weights, params.factors):
-        qi = factor.value
-        comps.append([(c // w) % qi for c in values])
-    return comps
-
-
 def live_payloads(tables: CosetTable, values) -> dict[tuple[int, int], int]:
-    """{(i, j): payload} of every coset whose digit block is not saturated.
-
-    Inverse of the layout encode_components writes: the payload is read
-    from the base-q_i digits along the coset orbit, least significant
-    first, and the all-(q_i - 1) block, payload q_i**size - 1, is absent.
-    """
-    comps = split_components(tables, values)
+    """{(i, j): payload} of every coset whose digit block is not saturated:
+    the inverse of combine_components, reading digit i of c as c // w_i % q_i."""
     payloads = {}
-    for i, block in enumerate(tables.blocks):
+    for i, (block, w) in enumerate(zip(tables.blocks, tables.params.weights)):
         qi = block.factor.value
         for j, coset in enumerate(block.cosets):
             payload = 0
             for pos in reversed(coset.orbit):
-                payload = payload * qi + comps[i][pos]
+                payload = payload * qi + values[pos] // w % qi
             if payload != qi**coset.size - 1:
                 payloads[(i, j)] = payload
     return payloads

@@ -14,6 +14,7 @@ word, both directions run on the quotient fields' remainder and products.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import polys
@@ -196,15 +197,21 @@ class CosetTable:
         return tuple(out)
 
     def check_word(self, word, noun: str = "word", entry: str = "color") -> tuple[int, ...]:
-        """`word` as a tuple of n entries in [0, q); the ValueError names them
+        """`word` as a tuple of n ints in [0, q); the ValueError names them
         `noun` and `entry` (a function's are "function" and "value")."""
         word = tuple(word)
         if len(word) != self.params.n:
             raise ValueError(f"{noun} length {len(word)} != n = {self.params.n}")
+        out = []
         for c in word:
+            try:
+                c = operator.index(c)
+            except TypeError:
+                raise ValueError(f"{noun} {entry} {c!r} is not an integer") from None
             if not 0 <= c < self.params.q:
                 raise ValueError(f"{entry} {c} outside [0, {self.params.q})")
-        return word
+            out.append(c)
+        return tuple(out)
 
 
 def build_tables(params: RingParams) -> CosetTable:

@@ -273,11 +273,12 @@ def find_primitive(field):
     """First element of maximal order in the canonical enumeration.
 
     A candidate is primitive when a**(N/r) != 1 for every prime r | N; the
-    smallest primes go first, since they reject the most candidates.
+    smallest primes go first, since they reject the most candidates.  A proper
+    extension's scan skips its base constants, which cannot be primitive.
     """
     group_order = field.order - 1
     primes = sorted(f.p for f in factorize(group_order))
-    for i in range(1, field.order):
+    for i in range(field.base.order if field.degree > 1 else 1, field.order):
         a = field.from_index(i)
         if all(field.pow(a, group_order // r) != field.one for r in primes):
             return a

@@ -16,6 +16,8 @@
 - element_order divides |F*| by each of its primes while the power stays
   1; the library proves orders only through a log or the primes of the
   order it expects.
+- primitive_by_scan takes the first index from 1 whose element_order is
+  |F*|; find_primitive skips a proper extension's base constants.
 - units_by_search finds the lexicographically least diagonal unit tuple
   by depth-first backtracking, exponential when none exists;
   AutomorphismTable calibrates by one backward reachability pass instead.
@@ -193,6 +195,15 @@ def element_order(field, a) -> int:
         while k % f.p == 0 and field.pow(a, k // f.p) == field.one:
             k //= f.p
     return k
+
+
+def primitive_by_scan(field):
+    """First element of order |F*| among indices 1, 2, ... of the field."""
+    for i in range(1, field.order):
+        a = field.from_index(i)
+        if element_order(field, a) == field.order - 1:
+            return a
+    raise InternalError("no primitive element found")
 
 
 def units_by_search(tables: CosetTable, support) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ from necklacemap.bijection import (
     function_support,
     live_payloads,
     map_necklace,
-    split_components,
     unmap_function,
     weighted_sum,
 )
@@ -52,25 +51,21 @@ class TestEncode:
         t = tables_for(3, 10)
         prof = profile(t, (1, 1, 1))
         aut = t.automorphisms.for_support(prof.support)
-        comps = encode_components(t, prof, aut)
-        assert comps == [[3, 4, 4], [0, 1, 1]]
-        assert combine_components(t, comps) == (6, 9, 9)
+        payloads = encode_components(t, prof, aut)
+        assert payloads == {(0, 0): 3, (1, 0): 0}
+        assert combine_components(t, payloads) == (6, 9, 9)
 
     def test_zero_word_saturates(self, tables_for):
         t = tables_for(3, 10)
         prof = profile(t, (0, 0, 0))
         aut = t.automorphisms.for_support(prof.support)
-        assert encode_components(t, prof, aut) == [[4, 4, 4], [1, 1, 1]]
+        assert encode_components(t, prof, aut) == {}
 
     def test_combine_extremes(self, tables_for):
         t = tables_for(3, 10)
-        assert combine_components(t, [[4, 4, 4], [1, 1, 1]]) == (9, 9, 9)
-        assert combine_components(t, [[0, 0, 0], [0, 0, 0]]) == (0, 0, 0)
-
-    def test_combine_range_check(self, tables_for):
-        t = tables_for(3, 10)
-        with pytest.raises(ValueError):
-            combine_components(t, [[5, 0, 0], [0, 0, 0]])
+        assert combine_components(t, {}) == (9, 9, 9)
+        zeros = {(i, j): 0 for i in range(2) for j in range(2)}
+        assert combine_components(t, zeros) == (0, 0, 0)
 
     def test_all_units_zero_logs(self, tables_for):
         # the constant polynomial 1 has every residue equal to 1 (log 0),
@@ -78,12 +73,19 @@ class TestEncode:
         t = tables_for(3, 10)
         assert encode_word(t, (1, 0, 0)) == (0, 0, 0)
 
-    def test_split_inverts_combine(self, tables_for):
-        t = tables_for(3, 10)
-        for c0 in range(5):
-            for c1 in range(2):
-                comps = [[c0] * 3, [c1] * 3]
-                assert split_components(t, combine_components(t, comps)) == comps
+    @pytest.mark.parametrize("n,q", [(3, 10), (5, 4)])
+    def test_live_payloads_invert_combine(self, tables_for, n, q):
+        # every payload dict: each coset absent or holding a payload in
+        # [0, q_i**size - 1), so every support of the instance is covered
+        t = tables_for(n, q)
+        pairs, choices = [], []
+        for i, block in enumerate(t.blocks):
+            for j, coset in enumerate(block.cosets):
+                pairs.append((i, j))
+                choices.append([None, *range(block.factor.value**coset.size - 1)])
+        for picks in product(*choices):
+            payloads = {pair: p for pair, p in zip(pairs, picks) if p is not None}
+            assert live_payloads(t, combine_components(t, payloads)) == payloads
 
 
 class TestCodec:
@@ -220,6 +222,18 @@ class TestUnmap:
     def test_rejects_out_of_range(self, tables_for):
         with pytest.raises(ValueError):
             unmap_function(tables_for(3, 10), (10, 0, 0))
+
+    def test_rejects_non_integer_entries(self, tables_for):
+        t = tables_for(3, 10)
+        cases = [
+            (map_necklace, (1.5, 0, 0), "word color 1.5 "),
+            (unmap_function, (6.0, 9, 9), "function value 6.0 "),
+            (unmap_function, (6, 9, 9.0), "function value 9.0 "),
+        ]
+        for fn, entries, message in cases:
+            with pytest.raises(ValueError, match=message) as excinfo:
+                fn(t, entries)
+            assert excinfo.type is ValueError
 
 
 class TestRoundTrips:

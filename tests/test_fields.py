@@ -21,7 +21,7 @@ from necklacemap.fields import (
     find_primitive,
 )
 from necklacemap.numtheory import RingParams
-from reference import element_order, generator_by_log, generator_by_walk
+from reference import element_order, generator_by_log, generator_by_walk, primitive_by_scan
 
 
 def small_prime_powers(limit):
@@ -244,26 +244,29 @@ def golden_instances():
     return sorted(out)
 
 
+def golden_fields(monkeypatch):
+    """(quotient fields, splitting fields) built for every golden instance."""
+    quotients, splitting = [], []
+
+    def recording(base, t):
+        splitting.append(extend_field(base, t))
+        return splitting[-1]
+
+    monkeypatch.setattr(decomposition, "extend_field", recording)
+    for n, q in golden_instances():
+        for block in build_tables(RingParams.create(n, q)).blocks:
+            quotients.extend(qctx.field for qctx in block.quotients)
+    return quotients, splitting
+
+
 class TestOneLevel:
     def test_no_extension_has_an_extension_base(self, monkeypatch):
         # quotient fields and splitting fields sit one level over an int-valued base
-        splitting = []
-
-        def recording(base, t):
-            splitting.append(extend_field(base, t))
-            return splitting[-1]
-
-        monkeypatch.setattr(decomposition, "extend_field", recording)
         instances = golden_instances()
         assert (33, 4) in instances and (11, 12) in instances
-        quotients = 0
-        for n, q in instances:
-            for block in build_tables(RingParams.create(n, q)).blocks:
-                for qctx in block.quotients:
-                    assert not isinstance(qctx.field.base, ExtensionField), (n, q)
-                    quotients += 1
+        quotients, splitting = golden_fields(monkeypatch)
         assert quotients and splitting
-        assert not any(isinstance(ext.base, ExtensionField) for ext in splitting)
+        assert not any(isinstance(f.base, ExtensionField) for f in quotients + splitting)
 
     def test_products_never_recurse(self, monkeypatch, tables_for):
         tables = tables_for(33, 4)
@@ -312,6 +315,14 @@ class TestOrders:
         f = build_field(2, 4)
         g = find_primitive(f)
         assert element_order(f, g) == 15
+
+    def test_primitive_matches_scan_from_one(self, monkeypatch):
+        # skipping a proper extension's base constants keeps every first hit
+        quotients, splitting = golden_fields(monkeypatch)
+        small = [extend_field(PrimeField(p), t) for p, t in small_prime_powers(256)]
+        assert splitting and any(f.degree > 1 for f in quotients)
+        for f in quotients + splitting + small:
+            assert find_primitive(f) == primitive_by_scan(f), f
 
 
 class TestDiscreteLog:
