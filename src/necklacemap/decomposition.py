@@ -5,10 +5,12 @@ sum(c_v x**v) in Z_q[x]/(x**n - 1).  Reducing colors modulo each prime
 power q_i (and identifying [0, q_i) with F_{q_i} through the canonical
 element indexing) gives one polynomial per factor; reducing that modulo
 the irreducible factors of x**n - 1 over F_{q_i} gives one residue per
-cyclotomic coset.  Both reductions are invertible, which is what
-crt_combine implements in Garner's cofactor form (IRE Trans. Electronic
-Computers EC-8(2), 1959).  Only set-up uses the generic polys module; per
-word, both directions run on the quotient fields' remainder and products.
+cyclotomic coset (Phi_m itself when the coset holds every residue of order
+m; a splitting field is built only when some Phi_m splits).  Both
+reductions are invertible, which is what crt_combine implements in
+Garner's cofactor form (IRE Trans. Electronic Computers EC-8(2), 1959).
+Only set-up uses the generic polys module; per word, both directions run
+on the quotient fields' remainder and products.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .fields import (
     build_field,
     extend_field,
     find_primitive,
+    has_order,
 )
-from .numtheory import PrimePowerFactor, RingParams, factorize
+from .numtheory import PrimePowerFactor, RingParams, euler_phi, factorize
 
 
 @dataclass(frozen=True)
@@ -80,48 +83,65 @@ def _xn_minus_1(field, n: int) -> tuple:
 
 
 def _root_of_unity(ext, n: int):
-    """Canonical element of multiplicative order n: a power of the first
-    primitive element.  (Scanning for order exactly n would touch most of
-    the field once the splitting extension gets large.)  omega**n = 1 by
-    construction, so omega**(n/r) != 1 for each prime r | n proves the order."""
-    group = ext.order - 1
-    if group % n != 0:
-        raise InternalError("splitting field does not contain the needed roots")
-    omega = ext.pow(find_primitive(ext), group // n)
-    if any(ext.pow(omega, n // f.p) == ext.one for f in factorize(n)):
-        raise InternalError("root of unity has the wrong order")  # pragma: no cover
+    """Canonical element of multiplicative order n, proved by has_order: a power
+    of the first primitive element.  (Scanning for order exactly n would touch
+    most of the field once the splitting extension gets large.)"""
+    omega = ext.pow(find_primitive(ext), (ext.order - 1) // n)
+    if not has_order(ext, omega, factorize(n)):  # also when n does not divide ext.order - 1
+        raise InternalError("splitting field has no root of unity of order n")
     return omega
+
+
+def cyclotomic_polynomial(field, m: int, memo: dict) -> tuple:
+    """Phi_m over `field`: x**m - 1 divided exactly by Phi_d for every d | m, d < m.
+    memo maps each d already built to Phi_d and gains every one built here."""
+    if m not in memo:
+        rest = (field.one,)
+        for d in range(1, m):
+            if m % d == 0:
+                rest = polys.mul(field, rest, cyclotomic_polynomial(field, d, memo))
+        memo[m], rem = polys.divmod_(field, _xn_minus_1(field, m), rest)
+        if rem:
+            raise InternalError(f"cyclotomic factors do not divide x**{m} - 1")
+    return memo[m]
 
 
 def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
     """Monic irreducible factors of x**n - 1 over `field`, one per coset.
 
-    Works inside the splitting extension: pick a root of unity w of order n
-    there, multiply out prod(x - w**k) over each coset's members, and push
-    the coefficients back down to `field` (they always land there because
-    each coset is Frobenius-closed).  Returned coefficient tuples align
-    with the coset list.
+    A coset of residues of order m = n / gcd(n, rep) that holds all
+    euler_phi(m) of them is the only coset of order m, so its factor is the
+    cyclotomic polynomial Phi_m (Lidl & Niederreiter, Finite Fields,
+    Thm 2.47).  Only when some Phi_m splits over several cosets is the
+    splitting extension built: a root of unity w of order n there gives
+    each such coset prod(x - w**k) over its members, whose coefficients
+    land back in `field` because the coset is Frobenius-closed.  Returned
+    coefficient tuples align with the coset list.
     """
     if math.gcd(n, field.order) != 1:
         raise NotCoprimeError(f"field order {field.order} shares a factor with n={n}")
     if cosets is None:
         cosets = cyclotomic_cosets(n, field.order)
-    # no coset outgrows the coset of 1, whose size is the order of |field| mod n
-    ext = extend_field(field, max(c.size for c in cosets))
-    omega = _root_of_unity(ext, n)
+    orders = [n // math.gcd(n, c.rep) for c in cosets]
+    if any(c.size < euler_phi(m) for c, m in zip(cosets, orders)):
+        # no coset outgrows the coset of 1, whose size is the order of |field| mod n
+        ext = extend_field(field, max(c.size for c in cosets))
+        omega = _root_of_unity(ext, n)
 
-    factors = []
-    for coset in cosets:
-        poly = (ext.one,)
-        for k in coset.members:
-            root = ext.pow(omega, k)
-            poly = polys.mul(ext, poly, (ext.neg(root), ext.one))
-        if any(c[1:] != ext.zero[1:] for c in poly):
-            raise InternalError("factor coefficient escaped the base field")
-        descended = polys.trim(field, [c[0] for c in poly])
-        if polys.degree(descended) != coset.size:
+    factors, memo = [], {}
+    for coset, m in zip(cosets, orders):
+        if coset.size == euler_phi(m):
+            factor = cyclotomic_polynomial(field, m, memo)
+        else:
+            poly = (ext.one,)
+            for k in coset.members:
+                poly = polys.mul(ext, poly, (ext.neg(ext.pow(omega, k)), ext.one))
+            if any(c[1:] != ext.zero[1:] for c in poly):
+                raise InternalError("factor coefficient escaped the base field")
+            factor = polys.trim(field, [c[0] for c in poly])
+        if polys.degree(factor) != coset.size:
             raise InternalError("factor degree does not match its coset")
-        factors.append(descended)
+        factors.append(factor)
 
     product = (field.one,)
     for f in factors:
@@ -156,21 +176,10 @@ class CosetTable:
             field = build_field(factor.p, factor.t)
             cosets = tuple(cyclotomic_cosets(n, factor.value))
             factor_polys = tuple(factor_xn_minus_1(n, field, cosets))
-            quotients = tuple(
-                QuotientFieldCtx(field, poly, n, coset.rep)
-                for coset, poly in zip(cosets, factor_polys)
-            )
+            pairs = zip(cosets, factor_polys)
+            quotients = tuple(QuotientFieldCtx(field, poly, n, c.rep) for c, poly in pairs)
             cofactors = self._cofactors(field, n, factor_polys, quotients)
-            blocks.append(
-                FactorBlock(
-                    factor=factor,
-                    field=field,
-                    cosets=cosets,
-                    factor_polys=factor_polys,
-                    quotients=quotients,
-                    crt_cofactors=cofactors,
-                )
-            )
+            blocks.append(FactorBlock(factor, field, cosets, factor_polys, quotients, cofactors))
         self.blocks: tuple[FactorBlock, ...] = tuple(blocks)
         self.color_basis = self._color_basis(params)
         self.automorphisms = AutomorphismTable(self)

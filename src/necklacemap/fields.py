@@ -272,17 +272,43 @@ def _digits(base, i: int, t: int) -> tuple:
 def find_primitive(field):
     """First element of maximal order in the canonical enumeration.
 
-    A candidate is primitive when a**(N/r) != 1 for every prime r | N; the
-    smallest primes go first, since they reject the most candidates.  A proper
-    extension's scan skips its base constants, which cannot be primitive.
+    A proper extension's scan skips its base constants, which cannot be
+    primitive.  Over a base of order q, a**(N/r) = Norm(a)**((q-1)/r) for
+    each prime r | q - 1, with the norm the resultant of the modulus and a;
+    a candidate whose norm fails costs no power in the field.  has_order
+    proves every other candidate.
     """
-    group_order = field.order - 1
-    primes = sorted(f.p for f in factorize(group_order))
+    prime_powers = factorize(field.order - 1)
+    base = field.base if isinstance(field, ExtensionField) and field.degree > 1 else None
+    norm_exps = [] if base is None else [(base.order - 1) // f.p for f in factorize(base.order - 1)]
     for i in range(field.base.order if field.degree > 1 else 1, field.order):
         a = field.from_index(i)
-        if all(field.pow(a, group_order // r) != field.one for r in primes):
+        norm = polys.resultant(base, field.modulus, polys.trim(base, a)) if norm_exps else None
+        if all(base.pow(norm, e) != base.one for e in norm_exps) and has_order(
+            field, a, prime_powers
+        ):
             return a
     raise InternalError("no primitive element found")  # pragma: no cover
+
+
+def has_order(field, a, prime_powers) -> bool:
+    """True iff a**N = 1 and a**(N/p) != 1 for each prime p of N = prod(prime_powers).
+
+    Projects a down a balanced tree of the prime powers, split as in _prime_power_tree
+    with the smallest prime leftmost: for coprime A, B, a has order A*B iff a**B has
+    order A and a**A order B.  The first leaf that fails ends the proof.
+    """
+    powers = sorted(prime_powers, key=lambda f: f.p)
+    if not powers:
+        return a == field.one
+    if len(powers) == 1:
+        p, e = powers[0]
+        w = field.pow(a, p ** (e - 1))
+        return w != field.one and field.pow(w, p) == field.one
+    left, right = powers[: len(powers) // 2], powers[len(powers) // 2 :]
+    return has_order(field, field.pow(a, math.prod(f.value for f in right)), left) and has_order(
+        field, field.pow(a, math.prod(f.value for f in left)), right
+    )
 
 
 def baby_table(field, g, order: int) -> tuple[dict, object]:
@@ -363,12 +389,12 @@ class QuotientFieldCtx:
     the leaves.  Set-up takes one, of x_class, which proves its order and
     gives u; dlog scales by u**-1.  A log costs about sqrt of the largest
     p**e plus a few exponentiations per tree level; no table spans the
-    whole unit group.
+    whole unit group.  find_primitive and _check_generator prove orders by
+    has_order, which projects down the same split.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
-        self.n = n
-        self.rep = rep
+        self.n, self.rep = n, rep
         self.field = ExtensionField(base_field, tuple(modulus))
         self.group_order = self.field.order - 1
         self.rep_gcd = math.gcd(n, rep)
@@ -398,13 +424,10 @@ class QuotientFieldCtx:
         self._check_generator(prime_powers)
 
     def _check_generator(self, prime_powers):
-        field = self.field
-        if field.pow(self.generator, self.group_order) != field.one:
-            raise OrderMismatchError("generator order check failed")
-        for f in prime_powers:
-            if field.pow(self.generator, self.group_order // f.p) == field.one:
-                raise OrderMismatchError("generator is not primitive")
-        if field.pow(self.generator, self.x_exponent) != self.x_class:
+        """has_order proves the generator primitive; its x_exponent-th power must be x_class."""
+        if not has_order(self.field, self.generator, prime_powers):
+            raise OrderMismatchError("generator is not primitive")
+        if self.field.pow(self.generator, self.x_exponent) != self.x_class:
             raise InternalError("generator does not reach the class of x")
 
     def dlog(self, y) -> int:
@@ -412,6 +435,4 @@ class QuotientFieldCtx:
         return _log_in_tree(self.field, self._log_tree, y) * self._unscale % self.group_order
 
     def __repr__(self):
-        return (
-            f"QuotientFieldCtx(order={self.field.order}, n={self.n}, rep={self.rep})"
-        )
+        return f"QuotientFieldCtx(order={self.field.order}, n={self.n}, rep={self.rep})"

@@ -94,6 +94,20 @@ def gcd(field, a, b) -> tuple:
     return monic(field, a)
 
 
+def resultant(field, f, g):
+    """Res(f, g) by Euclid: (-1)**(deg f * deg g) * lc(g)**(deg f - deg r) * Res(g, r), r = f mod g.
+    For monic irreducible f and g reduced mod f it is g's norm from field[x]/f to field."""
+    out = field.one
+    while degree(g) > 0:
+        r = mod(field, f, g)
+        if not r:
+            return field.zero
+        c = field.pow(g[-1], degree(f) - degree(r))
+        out = field.mul(out, field.neg(c) if degree(f) * degree(g) % 2 else c)
+        f, g = g, r
+    return field.mul(out, field.pow(g[0], degree(f))) if g else field.zero
+
+
 def pow_mod(field, base, exp: int, modulus) -> tuple:
     """base**exp reduced mod modulus, by square-and-multiply."""
     if exp < 0:

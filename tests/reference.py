@@ -14,10 +14,15 @@
   primitive**x_exponent until one is x_class; QuotientFieldCtx takes that
   log in its Pohlig-Hellman tree instead.
 - element_order divides |F*| by each of its primes while the power stays
-  1; the library proves orders only through a log or the primes of the
+  1; the library proves orders only through a log or by has_order on the
   order it expects.
 - primitive_by_scan takes the first index from 1 whose element_order is
-  |F*|; find_primitive skips a proper extension's base constants.
+  |F*|; find_primitive skips a proper extension's base constants and
+  rejects candidates by their norm before has_order.
+- factor_by_splitting_field multiplies out prod(x - w**k) over every
+  coset's members in the splitting extension; factor_xn_minus_1 takes the
+  cyclotomic polynomial Phi_m for a coset holding every residue of order m
+  and builds the splitting extension only for the other cosets.
 - units_by_search finds the lexicographically least diagonal unit tuple
   by depth-first backtracking, exponential when none exists;
   AutomorphismTable calibrates by one backward reachability pass instead.
@@ -29,16 +34,23 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from necklacemap import dlog
+from necklacemap import dlog, polys
 from necklacemap.bijection import encode_word, weighted_sum
-from necklacemap.decomposition import CosetTable, shift
+from necklacemap.decomposition import (
+    CosetTable,
+    _root_of_unity,
+    _xn_minus_1,
+    cyclotomic_cosets,
+    shift,
+)
 from necklacemap.errors import (
     InternalError,
     NoSolutionError,
+    NotCoprimeError,
     UniquenessViolationError,
     ZeroElementError,
 )
-from necklacemap.fields import QuotientFieldCtx, find_primitive
+from necklacemap.fields import QuotientFieldCtx, extend_field, find_primitive
 from necklacemap.numtheory import factorize
 
 
@@ -204,6 +216,44 @@ def primitive_by_scan(field):
         if element_order(field, a) == field.order - 1:
             return a
     raise InternalError("no primitive element found")
+
+
+def factor_by_splitting_field(n: int, field, cosets=None) -> list[tuple]:
+    """Monic irreducible factors of x**n - 1 over `field`, one per coset.
+
+    Works inside the splitting extension: pick a root of unity w of order n
+    there, multiply out prod(x - w**k) over each coset's members, and push
+    the coefficients back down to `field` (they always land there because
+    each coset is Frobenius-closed).  Returned coefficient tuples align
+    with the coset list.
+    """
+    if math.gcd(n, field.order) != 1:
+        raise NotCoprimeError(f"field order {field.order} shares a factor with n={n}")
+    if cosets is None:
+        cosets = cyclotomic_cosets(n, field.order)
+    # no coset outgrows the coset of 1, whose size is the order of |field| mod n
+    ext = extend_field(field, max(c.size for c in cosets))
+    omega = _root_of_unity(ext, n)
+
+    factors = []
+    for coset in cosets:
+        poly = (ext.one,)
+        for k in coset.members:
+            root = ext.pow(omega, k)
+            poly = polys.mul(ext, poly, (ext.neg(root), ext.one))
+        if any(c[1:] != ext.zero[1:] for c in poly):
+            raise InternalError("factor coefficient escaped the base field")
+        descended = polys.trim(field, [c[0] for c in poly])
+        if polys.degree(descended) != coset.size:
+            raise InternalError("factor degree does not match its coset")
+        factors.append(descended)
+
+    product = (field.one,)
+    for f in factors:
+        product = polys.mul(field, product, f)
+    if product != _xn_minus_1(field, n):
+        raise InternalError("coset factors do not multiply back to x**n - 1")
+    return factors
 
 
 def units_by_search(tables: CosetTable, support) -> tuple[int, ...]:

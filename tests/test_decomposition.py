@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -5,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necklacemap import polys
+from necklacemap import decomposition, polys
 from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import (
+    build_tables,
     crt_combine,
     crt_split,
     cyclotomic_cosets,
+    cyclotomic_polynomial,
     factor_xn_minus_1,
     orbit_canonical,
     shift,
 )
 from necklacemap.errors import NotCoprimeError
-from necklacemap.fields import build_field
+from necklacemap.fields import ExtensionField, PrimeField, build_field
+from necklacemap.numtheory import RingParams, euler_phi, factorize
+from reference import factor_by_splitting_field
 
 
 class TestCosets:
@@ -99,6 +104,88 @@ class TestFactorXnMinus1:
         xn1[0] = field.neg(field.one)
         xn1[n] = field.one
         assert prod == polys.trim(field, xn1)
+
+
+def splitting_field_instances(qi):
+    """Every n <= 40 coprime to qi whose splitting field GF(qi**d) has at most 2**16 elements."""
+    return [
+        n
+        for n in range(1, 41)
+        if math.gcd(n, qi) == 1 and qi ** max(c.size for c in cyclotomic_cosets(n, qi)) <= 1 << 16
+    ]
+
+
+class TestWholeCyclotomicFactors:
+    @pytest.mark.parametrize("qi", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_matches_splitting_field_oracle(self, qi):
+        (f,) = factorize(qi)
+        field = build_field(f.p, f.t)
+        whole = split = 0
+        for n in splitting_field_instances(qi):
+            cosets = cyclotomic_cosets(n, qi)
+            assert factor_xn_minus_1(n, field, cosets) == factor_by_splitting_field(n, field, cosets), n
+            for c in cosets:
+                is_whole = c.size == euler_phi(n // math.gcd(n, c.rep))
+                whole, split = whole + is_whole, split + (not is_whole)
+        assert whole and split
+
+    @pytest.mark.parametrize("n,q", [(17, 3), (13, 2), (5, 6)])
+    def test_whole_classes_build_no_splitting_field(self, monkeypatch, n, q):
+        def refuse(base, t):
+            raise AssertionError(f"splitting field of degree {t} built")
+
+        monkeypatch.setattr(decomposition, "extend_field", refuse)
+        for f in RingParams.create(n, q).factors:
+            field = build_field(f.p, f.t)
+            factors = factor_xn_minus_1(n, field)
+            sizes = [c.size for c in cyclotomic_cosets(n, f.value)]
+            assert [polys.degree(p) for p in factors] == sizes
+
+    def test_split_classes_still_build_one(self, monkeypatch):
+        # over F2 the six residues of order 7 fall into two cosets of size 3
+        degrees, extend = [], decomposition.extend_field
+
+        def recording(base, t):
+            degrees.append(t)
+            return extend(base, t)
+
+        monkeypatch.setattr(decomposition, "extend_field", recording)
+        assert factor_xn_minus_1(7, build_field(2, 1)) == [(1, 1), (1, 1, 0, 1), (1, 0, 1, 1)]
+        assert degrees == [3]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cyclotomic_products(self, p):
+        field, memo = PrimeField(p), {}
+        for m in range(1, 61):
+            phi = cyclotomic_polynomial(field, m, memo)
+            assert phi[-1] == field.one and polys.degree(phi) == euler_phi(m)
+            prod = (field.one,)
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    prod = polys.mul(field, prod, memo[d])
+            assert prod == (field.neg(field.one),) + (field.zero,) * (m - 1) + (field.one,), m
+        # Phi_6 = x**2 - x + 1, Phi_12 = x**4 - x**2 + 1, Phi_30 = x**8 + x**7 - x**5 - x**4 - x**3 + x + 1
+        minus = field.neg(field.one)
+        assert memo[6] == (1, minus, 1)
+        assert memo[12] == (1, 0, minus, 0, 1)
+        assert memo[30] == (1, 1, 0, minus, minus, minus, 0, 1, 1)
+
+
+class TestSetupCost:
+    def test_multiplications_per_build(self, monkeypatch):
+        # the whole order-17 class takes Phi_17 with no GF(3**16) splitting
+        # field; the quotient's primitive search rejects squares by their norm
+        calls = 0
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        build_tables(RingParams.create(17, 3))
+        assert calls <= 1600
 
 
 class TestCrt:

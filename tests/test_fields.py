@@ -19,8 +19,9 @@ from necklacemap.fields import (
     discrete_log,
     extend_field,
     find_primitive,
+    has_order,
 )
-from necklacemap.numtheory import RingParams
+from necklacemap.numtheory import RingParams, factorize
 from reference import element_order, generator_by_log, generator_by_walk, primitive_by_scan
 
 
@@ -323,6 +324,39 @@ class TestOrders:
         assert splitting and any(f.degree > 1 for f in quotients)
         for f in quotients + splitting + small:
             assert find_primitive(f) == primitive_by_scan(f), f
+
+    def test_has_order_matches_element_order(self):
+        gf4 = build_field(2, 2)
+        cases = [extend_field(PrimeField(p), t) for p, t in [(2, 6), (3, 4), (5, 2)]]
+        for f in cases + [extend_field(gf4, 3)]:
+            n_units = f.order - 1
+            divisors = [d for d in range(1, n_units + 1) if n_units % d == 0]
+            for i in range(1, f.order):
+                a = f.from_index(i)
+                order = element_order(f, a)
+                for d in divisors:
+                    assert has_order(f, a, factorize(d)) == (order == d), (f, i, d)
+
+
+class TestNorm:
+    @staticmethod
+    def assert_norm(f, a):
+        q = f.base.order
+        power = f.pow(a, (f.order - 1) // (q - 1))  # a**(1 + q + ... + q**(d-1)) lies in the base
+        assert power[1:] == f.zero[1:]
+        assert polys.resultant(f.base, f.modulus, polys.trim(f.base, a)) == power[0], a
+
+    def test_every_unit_of_small_extensions(self):
+        gf4 = build_field(2, 2)
+        for f in [extend_field(PrimeField(3), 4), extend_field(PrimeField(5), 3), extend_field(gf4, 3)]:
+            for i in range(1, f.order):
+                self.assert_norm(f, f.from_index(i))
+
+    def test_seeded_units_of_gf_3_16(self):
+        f = extend_field(PrimeField(3), 16)
+        rng = random.Random(316)
+        for _ in range(200):
+            self.assert_norm(f, f.from_index(rng.randrange(1, f.order)))
 
 
 class TestDiscreteLog:

@@ -78,3 +78,17 @@ def test_irreducible_count_degree2_mod2():
         if polys.is_irreducible(F2, (c0, c1, 1))
     ]
     assert hits == [(1, 1)]
+
+
+def test_resultant_over_f5():
+    # f = (x - 1)(x - 2)(x - 3) over F5, so for monic f Res(f, g) = g(1) * g(2) * g(3)
+    f = (4, 1, 4, 1)
+    for g in [(1, 1), (3,), (0, 2), (4, 1, 3), (2, 0, 0, 1), (1, 2, 3, 4, 2)]:
+        expected = 1
+        for root in (1, 2, 3):
+            expected = expected * sum(c * root**u for u, c in enumerate(g)) % 5
+        assert polys.resultant(F5, f, g) == expected, g
+        # Res(g, f) = (-1)**(deg f * deg g) * Res(f, g), g not monic
+        assert polys.resultant(F5, g, f) == expected * (-1) ** (3 * polys.degree(g)) % 5, g
+    assert polys.resultant(F5, f, (3, 1)) == 0  # x + 3 = x - 2 divides f
+    assert polys.resultant(F5, f, ()) == 0
