@@ -29,6 +29,7 @@ from .fields import (
     extend_field,
     find_primitive,
     has_order,
+    xn_minus_1,
 )
 from .numtheory import PrimePowerFactor, RingParams, euler_phi, factorize
 
@@ -78,10 +79,6 @@ def cyclotomic_cosets(n: int, qi: int) -> list[CyclotomicCoset]:
     return out
 
 
-def _xn_minus_1(field, n: int) -> tuple:
-    return (field.neg(field.one),) + (field.zero,) * (n - 1) + (field.one,)
-
-
 def _root_of_unity(ext, n: int):
     """Canonical element of multiplicative order n, proved by has_order: a power
     of the first primitive element.  (Scanning for order exactly n would touch
@@ -100,7 +97,7 @@ def cyclotomic_polynomial(field, m: int, memo: dict) -> tuple:
         for d in range(1, m):
             if m % d == 0:
                 rest = polys.mul(field, rest, cyclotomic_polynomial(field, d, memo))
-        memo[m], rem = polys.divmod_(field, _xn_minus_1(field, m), rest)
+        memo[m], rem = polys.divmod_(field, xn_minus_1(field, m), rest)
         if rem:
             raise InternalError(f"cyclotomic factors do not divide x**{m} - 1")
     return memo[m]
@@ -146,7 +143,7 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
     product = (field.one,)
     for f in factors:
         product = polys.mul(field, product, f)
-    if product != _xn_minus_1(field, n):
+    if product != xn_minus_1(field, n):
         raise InternalError("coset factors do not multiply back to x**n - 1")
     return factors
 
@@ -187,7 +184,7 @@ class CosetTable:
     @staticmethod
     def _cofactors(field, n, factor_polys, quotients) -> tuple[tuple[tuple, tuple], ...]:
         """(C_j, h_j) per quotient: C_j = (x**n - 1) / P_j, h_j = C_j**-1 mod P_j."""
-        xn1 = _xn_minus_1(field, n)
+        xn1 = xn_minus_1(field, n)
         out = []
         for poly, qctx in zip(factor_polys, quotients):
             cofactor, rem = polys.divmod_(field, xn1, poly)

@@ -5,8 +5,9 @@ and so is one of GF(p**t): its own canonical index, multiplied and added
 by table.  An element of an extension of degree t over either is a t-tuple
 of base elements (little-endian in powers of the defining root), so
 extensions never nest and their products never recurse.  All hash and
-compare structurally.  An extension reduces products and residues alike
-by one remainder routine.
+compare structurally.  An extension squares with about half the base
+products, and reduces products and residues alike by one remainder routine,
+which in a quotient field first folds x**u onto x**(u - R) by x**R = 1.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -72,14 +73,15 @@ class PrimeField:
 
 
 class ExtensionField:
-    """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce."""
+    """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce.
+    A `period` R > 0 says the modulus divides x**R - 1; only QuotientFieldCtx passes one."""
 
-    def __init__(self, base, modulus: tuple):
+    def __init__(self, base, modulus: tuple, period: int = 0):
         if len(modulus) < 2 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 1")
         if not polys.is_irreducible(base, modulus):
             raise ValueError("modulus is reducible")
-        self.base = base
+        self.base, self.p, self.period = base, base.p, period
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self.order = base.order**self.degree
@@ -92,9 +94,15 @@ class ExtensionField:
         self._reduction = (base.zero, base.sub, base.mul, ones, tail)
 
     def _reduce(self, rem: list) -> tuple:
-        """rem mod the modulus by long division from the top, in place; len(rem) >= degree."""
+        """rem mod the modulus, in place; len(rem) >= degree.  A period R first folds each
+        coefficient at u >= R onto u - R, at no product; long division from the top ends it."""
         zero, sub, mul, ones, tail = self._reduction
-        t = self.degree
+        t, period = self.degree, self.period
+        if period:
+            for u in range(len(rem) - 1, period - 1, -1):
+                if rem[u] != zero:
+                    rem[u - period] = self.base.add(rem[u - period], rem[u])
+            del rem[period:]
         for u in range(len(rem) - 1, t - 1, -1):
             c = rem[u]
             if c != zero:
@@ -119,6 +127,8 @@ class ExtensionField:
         return tuple(map(self.base.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
+        if a is b:
+            return self._square(a)
         zero, add, mul = self.base.zero, self.base.add, self.base.mul
         conv = [zero] * (2 * self.degree - 1)
         for i, ca in enumerate(a):
@@ -126,6 +136,20 @@ class ExtensionField:
                 continue
             for j, cb in enumerate(b):
                 conv[i + j] = add(conv[i + j], mul(ca, cb))
+        return self._reduce(conv)
+
+    def _square(self, a: tuple) -> tuple:
+        """a*a by the a_i**2 and, for odd p, the doubled a_i*a_j, i < j: s(s+1)/2 base
+        products over s nonzero a_i, or s in characteristic 2, where cross terms vanish."""
+        zero, add, mul = self.base.zero, self.base.add, self.base.mul
+        conv = [zero] * (2 * self.degree - 1)
+        terms = [(i, c) for i, c in enumerate(a) if c != zero]
+        for k, (i, c) in enumerate(terms):
+            conv[2 * i] = add(conv[2 * i], mul(c, c))
+            if self.p != 2:
+                twice = add(c, c)
+                for j, d in terms[k + 1 :]:
+                    conv[i + j] = add(conv[i + j], mul(twice, d))
         return self._reduce(conv)
 
     def inv(self, a: tuple) -> tuple:
@@ -169,7 +193,7 @@ class TableField:
     def __init__(self, p: int, t: int):
         flat = extend_field(PrimeField(p), t)
         self.base, self.modulus, self.degree, self.order = flat.base, flat.modulus, t, flat.order
-        self.zero, self.one, self._n = 0, 1, flat.order - 1
+        self.p, self.zero, self.one, self._n = p, 0, 1, flat.order - 1
         exp, log = _powers(flat, find_primitive(flat)), [0] * self.order
         for k, a in enumerate(exp):
             log[a] = k
@@ -264,6 +288,10 @@ def extend_field(base, t: int) -> ExtensionField:
     raise InternalError(f"no irreducible of degree {t} found")  # pragma: no cover
 
 
+def xn_minus_1(field, n: int) -> tuple:
+    return (field.neg(field.one),) + (field.zero,) * (n - 1) + (field.one,)
+
+
 def _digits(base, i: int, t: int) -> tuple:
     """The t lowest base-order digits of i, least significant first, as elements."""
     return tuple(base.from_index(i // base.order**u % base.order) for u in range(t))
@@ -275,18 +303,21 @@ def find_primitive(field):
     A proper extension's scan skips its base constants, which cannot be
     primitive.  Over a base of order q, a**(N/r) = Norm(a)**((q-1)/r) for
     each prime r | q - 1, with the norm the resultant of the modulus and a;
-    a candidate whose norm fails costs no power in the field.  has_order
-    proves every other candidate.
+    a candidate whose norm fails costs no power in the field.  A candidate
+    that passes has proved those primes, so has_order proves a**M, M the
+    part of N on them, over the other prime powers of N alone.
     """
     prime_powers = factorize(field.order - 1)
     base = field.base if isinstance(field, ExtensionField) and field.degree > 1 else None
-    norm_exps = [] if base is None else [(base.order - 1) // f.p for f in factorize(base.order - 1)]
+    norm_primes = [] if base is None else [f.p for f in factorize(base.order - 1)]
+    proved = math.prod(f.value for f in prime_powers if f.p in norm_primes)
+    rest = [f for f in prime_powers if f.p not in norm_primes]
     for i in range(field.base.order if field.degree > 1 else 1, field.order):
         a = field.from_index(i)
-        norm = polys.resultant(base, field.modulus, polys.trim(base, a)) if norm_exps else None
-        if all(base.pow(norm, e) != base.one for e in norm_exps) and has_order(
-            field, a, prime_powers
-        ):
+        norm = polys.resultant(base, field.modulus, polys.trim(base, a)) if norm_primes else None
+        if any(base.pow(norm, (base.order - 1) // r) == base.one for r in norm_primes):
+            continue
+        if has_order(field, field.pow(a, proved), rest):
             return a
     raise InternalError("no primitive element found")  # pragma: no cover
 
@@ -391,14 +422,19 @@ class QuotientFieldCtx:
     p**e plus a few exponentiations per tree level; no table spans the
     whole unit group.  find_primitive and _check_generator prove orders by
     has_order, which projects down the same split.
+    x has order R = rotation_order only if P | x**R - 1, checked once before the
+    field is built with period R: x**R = 1 then folds a product or residue, so a
+    dense Phi_p modulus costs a product one division row instead of t - 1.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
         self.n, self.rep = n, rep
-        self.field = ExtensionField(base_field, tuple(modulus))
-        self.group_order = self.field.order - 1
         self.rep_gcd = math.gcd(n, rep)
         self.rotation_order = n // self.rep_gcd
+        if polys.divmod_(base_field, xn_minus_1(base_field, self.rotation_order), modulus)[1]:
+            raise OrderMismatchError(f"modulus does not divide x**{self.rotation_order} - 1")
+        self.field = ExtensionField(base_field, tuple(modulus), period=self.rotation_order)
+        self.group_order = self.field.order - 1
         prime_powers = factorize(self.group_order)
         self.x_class = self.field.from_poly(polys.x(base_field))
         primitive = find_primitive(self.field)

@@ -3,7 +3,7 @@
 Polynomials are tuples of field elements, little-endian (index u holds the
 coefficient of x**u), with no trailing zeros; () is the zero polynomial.
 The field context is duck-typed: anything exposing zero/one/add/sub/neg/
-mul/inv/order works (see fields.py).
+mul/inv/order and its characteristic p works (see fields.py).
 """
 
 from __future__ import annotations
@@ -128,12 +128,17 @@ def is_irreducible(field, f) -> bool:
     A monic f of degree d is irreducible iff it shares no factor with
     x**(order**u) - x for any u < d: every factor of degree u would divide
     that split polynomial.  Degree-one polynomials are always irreducible.
+    When f' = 0, every nonzero coefficient sits at an exponent divisible by
+    the characteristic p, so f = g(x**p) = h**p (every element of a finite
+    field is a p-th power) and f is reducible with no Frobenius step.
     """
     d = degree(f)
     if d < 1:
         return False
     if d == 1:
         return True
+    if all(c == field.zero for u, c in enumerate(f) if u % field.p):
+        return False
     if f[-1] != field.one:
         f = monic(field, f)
     xp = x(field)

@@ -19,6 +19,9 @@
 - primitive_by_scan takes the first index from 1 whose element_order is
   |F*|; find_primitive skips a proper extension's base constants and
   rejects candidates by their norm before has_order.
+- is_irreducible_by_trial divides by every monic polynomial of degree up
+  to half; polys.is_irreducible rejects p-th powers at once and runs the
+  Frobenius gcd test on the rest.
 - factor_by_splitting_field multiplies out prod(x - w**k) over every
   coset's members in the splitting extension; factor_xn_minus_1 takes the
   cyclotomic polynomial Phi_m for a coset holding every residue of order m
@@ -39,7 +42,6 @@ from necklacemap.bijection import encode_word, weighted_sum
 from necklacemap.decomposition import (
     CosetTable,
     _root_of_unity,
-    _xn_minus_1,
     cyclotomic_cosets,
     shift,
 )
@@ -50,7 +52,7 @@ from necklacemap.errors import (
     UniquenessViolationError,
     ZeroElementError,
 )
-from necklacemap.fields import QuotientFieldCtx, extend_field, find_primitive
+from necklacemap.fields import QuotientFieldCtx, extend_field, find_primitive, xn_minus_1
 from necklacemap.numtheory import factorize
 
 
@@ -218,6 +220,18 @@ def primitive_by_scan(field):
     raise InternalError("no primitive element found")
 
 
+def is_irreducible_by_trial(field, f) -> bool:
+    """A monic f of degree d >= 1 is irreducible iff no monic g of degree
+    1..d//2 divides it; every such g is tried by polys.mod."""
+    d = polys.degree(f)
+    for k in range(1, d // 2 + 1):
+        for i in range(field.order**k):
+            g = tuple(field.from_index(i // field.order**u % field.order) for u in range(k))
+            if not polys.mod(field, f, g + (field.one,)):
+                return False
+    return d >= 1
+
+
 def factor_by_splitting_field(n: int, field, cosets=None) -> list[tuple]:
     """Monic irreducible factors of x**n - 1 over `field`, one per coset.
 
@@ -251,7 +265,7 @@ def factor_by_splitting_field(n: int, field, cosets=None) -> list[tuple]:
     product = (field.one,)
     for f in factors:
         product = polys.mul(field, product, f)
-    if product != _xn_minus_1(field, n):
+    if product != xn_minus_1(field, n):
         raise InternalError("coset factors do not multiply back to x**n - 1")
     return factors
 

@@ -187,6 +187,36 @@ class TestSetupCost:
         build_tables(RingParams.create(17, 3))
         assert calls <= 1600
 
+    def test_base_products_per_build(self, monkeypatch):
+        # squares take half the products, and the dense Phi_17 modulus folds by
+        # x**17 = 1 so that a product needs one division row
+        counts = {"mul": 0, "sub": 0}
+        for name in counts:
+            op = getattr(PrimeField, name)
+
+            def counted(self, a, b, name=name, op=op):
+                counts[name] += 1
+                return op(self, a, b)
+
+            monkeypatch.setattr(PrimeField, name, counted)
+        build_tables(RingParams.create(17, 3))
+        assert counts["mul"] <= 110_000 and counts["sub"] <= 30_000, counts
+
+    def test_norm_proved_primes_are_not_proved_again(self, monkeypatch):
+        # GF(4**5): a candidate whose norm passes has order divisible by 3,
+        # so has_order proves only the 11 and the 31
+        calls = 0
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        build_tables(RingParams.create(33, 4))
+        assert calls <= 1579
+
 
 class TestCrt:
     def test_worked_split(self, tables_for):

@@ -160,6 +160,20 @@ class TestArithmetic:
             product = polys.mul(base, polys.trim(base, a), polys.trim(base, b))
             assert f.mul(a, b) == reference(product)
 
+    @pytest.mark.parametrize(
+        "base,d",
+        [(PrimeField(2), 7), (PrimeField(3), 5), (PrimeField(5), 4), (build_field(2, 2), 3), (build_field(3, 2), 3)],
+    )
+    def test_square_matches_product(self, base, d):
+        # mul(a, a) squares; a copy that is not the same object takes the full product
+        f = extend_field(base, d)
+        rng = random.Random(10 * base.order + d)
+        for _ in range(200):
+            a = f.from_index(rng.randrange(f.order))
+            b = tuple(list(a))
+            assert b is not a and b == a
+            assert f.mul(a, a) == f.mul(a, b), a
+
     def test_tower_field(self):
         # degree-2 extension of GF(4): 16 elements, arithmetic closes
         base = build_field(2, 2)
@@ -403,6 +417,29 @@ class TestQuotientCtx:
         assert q.x_exponent == 8
         assert element_order(q.field, q.generator) == 24
         assert q.field.pow(q.generator, 8) == q.x_class
+
+    @pytest.mark.parametrize("n,q", [(5, 6), (9, 2), (63, 2), (13, 6), (17, 3)])
+    def test_folded_remainder_matches_polys(self, n, q, tables_for):
+        # a quotient folds by x**R = 1, R its rotation order, before it divides
+        for block in tables_for(n, q).blocks:
+            for qctx in block.quotients:
+                f, base, period = qctx.field, qctx.field.base, qctx.rotation_order
+                assert f.period == period
+                rng = random.Random(1000 * n + 10 * q + qctx.rep)
+
+                def reference(coeffs):
+                    r = polys.mod(base, polys.trim(base, coeffs), f.modulus)
+                    return r + (base.zero,) * (f.degree - len(r))
+
+                for length in range(2 * period + 3):
+                    for _ in range(2):
+                        coeffs = [base.from_index(rng.randrange(base.order)) for _ in range(length)]
+                        assert f.from_poly(coeffs) == reference(coeffs), (qctx, length, coeffs)
+                for _ in range(50):
+                    a, b = f.from_index(rng.randrange(f.order)), f.from_index(rng.randrange(f.order))
+                    for x, y in [(a, b), (a, a)]:
+                        product = polys.mul(base, polys.trim(base, x), polys.trim(base, y))
+                        assert f.mul(x, y) == reference(product), (qctx, x, y)
 
     def test_order_mismatch_guard(self):
         # x+1 over F5 puts -1 in place of x, order 2, but rep=0 demands order 1

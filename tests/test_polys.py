@@ -1,7 +1,8 @@
 import pytest
 
 from necklacemap import polys
-from necklacemap.fields import PrimeField
+from necklacemap.fields import PrimeField, build_field, extend_field
+from reference import is_irreducible_by_trial
 
 F5 = PrimeField(5)
 F3 = PrimeField(3)
@@ -78,6 +79,33 @@ def test_irreducible_count_degree2_mod2():
         if polys.is_irreducible(F2, (c0, c1, 1))
     ]
     assert hits == [(1, 1)]
+
+
+@pytest.mark.parametrize(
+    "p,t,degrees",
+    [(2, 1, (2, 3, 4)), (3, 1, (2, 3, 4)), (5, 1, (2, 3, 4)), (2, 2, (2, 3, 4)), (3, 2, (2, 3))],
+)
+def test_is_irreducible_matches_trial_division(p, t, degrees):
+    # every monic polynomial of each degree, p-th powers included
+    field = build_field(p, t)
+    for d in degrees:
+        for i in range(field.order**d):
+            f = tuple(field.from_index(i // field.order**u % field.order) for u in range(d)) + (field.one,)
+            assert polys.is_irreducible(field, f) == is_irreducible_by_trial(field, f), f
+
+
+def test_pth_powers_take_no_frobenius_step(monkeypatch):
+    # cubing permutes GF(3**10), so every x**3 + c is a cube and is refused at once
+    field = build_field(3, 10)
+
+    def refused(*args):
+        raise AssertionError("pow_mod reached")
+
+    with monkeypatch.context() as m:
+        m.setattr(polys, "pow_mod", refused)
+        for c in range(field.order):
+            assert not polys.is_irreducible(field, (c, 0, 0, field.one))
+    assert extend_field(field, 3).modulus == (3, 1, 0, 1)
 
 
 def test_resultant_over_f5():
