@@ -184,7 +184,7 @@ def _run_factors(args, params: RingParams) -> Outcome:
     for i, block in enumerate(tables.blocks):
         lines.append(f"factor {i + 1}: q_{i + 1} = {block.factor.value}")
         entry = {"i": i + 1, "q_i": block.factor.value, "polys": []}
-        for j, coeffs in enumerate(block.factor_polys):
+        for j, coeffs in enumerate(qctx.field.modulus for qctx in block.quotients):
             lines.append(f"  P[{i + 1},{j + 1}] = {_poly_str(coeffs, block.field)}")
             entry["polys"].append(
                 {"j": j + 1, "coeffs": [block.field.to_index(c) for c in coeffs]}
@@ -232,7 +232,7 @@ def _run_count(args, params: RingParams) -> Outcome:
 
 def _run_verify(args, params: RingParams) -> Outcome:
     report = verify_bijection(args.n, args.q, args.factor_order, args.envelope)
-    lines = [f"{name}: {'ok' if ok else 'FAILED'}" for name, ok in report.flag_items()]
+    lines = [f"{name}: {'ok' if ok else 'FAILED'}" for name, ok in report.flags.items()]
     if report.all_ok:
         lines.append(
             f"bijection certified: {report.necklace_total} <-> {report.function_total}"

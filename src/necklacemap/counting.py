@@ -12,19 +12,14 @@ from typing import Iterator
 
 from .decomposition import CosetTable
 from .errors import EvenNError, InternalError
-from .numtheory import euler_phi, gcd_of_set
+from .numtheory import euler_phi, factorize, gcd_of_set
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    out = [1]
+    for p, t in factorize(n):
+        out = [d * p**k for d in out for k in range(t + 1)]
+    return out
 
 
 def necklace_count(n: int, q: int) -> int:

@@ -9,6 +9,8 @@ cyclotomic coset (Phi_m itself when the coset holds every residue of order
 m; a splitting field is built only when some Phi_m splits).  Both
 reductions are invertible, which is what crt_combine implements in
 Garner's cofactor form (IRE Trans. Electronic Computers EC-8(2), 1959).
+Each quotient context is the one record of its factor P_j: F[x]/P_j, and the
+cofactor (x**n - 1) / P_j and its inverse, from the division proving P_j | x**R - 1.
 Only set-up uses the generic polys module; per word, both directions run
 on the quotient fields' remainder and products.
 """
@@ -150,20 +152,18 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
 
 @dataclass(frozen=True)
 class FactorBlock:
-    """Everything attached to one prime-power factor q_i."""
+    """Everything attached to one prime-power factor q_i: its field and cosets, and per
+    coset the quotient whose field's modulus is the factor P_j and which holds C_j, h_j."""
 
     factor: PrimePowerFactor
     field: Field
     cosets: tuple[CyclotomicCoset, ...]
-    factor_polys: tuple[tuple, ...]
     quotients: tuple[QuotientFieldCtx, ...]
-    # per quotient, (C_j, h_j): the cofactor (x**n - 1) / P_j and its inverse mod P_j
-    crt_cofactors: tuple[tuple[tuple, tuple], ...]
 
 
 class CosetTable:
-    """Per-factor coset data plus both CRT directions, fully precomputed:
-    per quotient F[x]/P_j, the cofactor C_j = (x**n - 1) / P_j and h_j = C_j**-1 in F[x]/P_j."""
+    """Per-factor coset data plus both CRT directions, fully precomputed: quotient
+    F[x]/P_j holds C_j = (x**n - 1) / P_j and h_j = C_j**-1 in F[x]/P_j."""
 
     def __init__(self, params: RingParams):
         self.params = params
@@ -172,26 +172,12 @@ class CosetTable:
         for factor in params.factors:
             field = build_field(factor.p, factor.t)
             cosets = tuple(cyclotomic_cosets(n, factor.value))
-            factor_polys = tuple(factor_xn_minus_1(n, field, cosets))
-            pairs = zip(cosets, factor_polys)
+            pairs = zip(cosets, factor_xn_minus_1(n, field, cosets))
             quotients = tuple(QuotientFieldCtx(field, poly, n, c.rep) for c, poly in pairs)
-            cofactors = self._cofactors(field, n, factor_polys, quotients)
-            blocks.append(FactorBlock(factor, field, cosets, factor_polys, quotients, cofactors))
+            blocks.append(FactorBlock(factor, field, cosets, quotients))
         self.blocks: tuple[FactorBlock, ...] = tuple(blocks)
         self.color_basis = self._color_basis(params)
         self.automorphisms = AutomorphismTable(self)
-
-    @staticmethod
-    def _cofactors(field, n, factor_polys, quotients) -> tuple[tuple[tuple, tuple], ...]:
-        """(C_j, h_j) per quotient: C_j = (x**n - 1) / P_j, h_j = C_j**-1 mod P_j."""
-        xn1 = xn_minus_1(field, n)
-        out = []
-        for poly, qctx in zip(factor_polys, quotients):
-            cofactor, rem = polys.divmod_(field, xn1, poly)
-            if rem:
-                raise InternalError("coset factor does not divide x**n - 1")
-            out.append((cofactor, qctx.field.inv(qctx.field.from_poly(cofactor))))
-        return tuple(out)
 
     @staticmethod
     def _color_basis(params: RingParams) -> tuple[int, ...]:
@@ -237,7 +223,7 @@ def crt_split(tables: CosetTable, word) -> tuple[tuple, ...]:
 
 
 def crt_combine(tables: CosetTable, residues) -> tuple[int, ...]:
-    """Inverse of crt_split: per factor, sum(C_j * (h_j * r_j)) over the quotients.
+    """Inverse of crt_split: per factor, sum(C_j * (h_j * r_j)) over the quotients j.
     deg(h_j * r_j) < deg P_j = n - deg C_j, so no term needs reducing mod x**n - 1."""
     n, q = tables.params.n, tables.params.q
     if len(residues) != len(tables.blocks):
@@ -249,10 +235,10 @@ def crt_combine(tables: CosetTable, residues) -> tuple[int, ...]:
         if len(group) != len(block.quotients):
             raise ValueError("one residue per coset required")
         coeffs = [zero] * n
-        for (cofactor, unit), qctx, residue in zip(block.crt_cofactors, block.quotients, group):
-            for i, c in enumerate(qctx.field.mul(unit, qctx.field.from_poly(residue))):
+        for qctx, residue in zip(block.quotients, group):
+            for i, c in enumerate(qctx.field.mul(qctx.cofactor_inv, qctx.field.from_poly(residue))):
                 if c != zero:
-                    for k, cc in enumerate(cofactor, i):
+                    for k, cc in enumerate(qctx.cofactor, i):
                         coeffs[k] = add(coeffs[k], mul(c, cc))
         for v, c in enumerate(coeffs):
             colors[v] += basis * field.to_index(c)

@@ -19,7 +19,6 @@ from .fields import QuotientFieldCtx
 
 @dataclass(frozen=True)
 class DlogEntry:
-    log: int
     turns: int
     offset: int
 
@@ -53,9 +52,8 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
             if residue == qctx.field.zero:
                 continue
             live.append(j)
-            log = qctx.dlog(residue)
-            turns, offset = split_log(qctx, log)
-            entries[(i, j)] = DlogEntry(log=log, turns=turns, offset=offset)
+            turns, offset = split_log(qctx, qctx.dlog(residue))
+            entries[(i, j)] = DlogEntry(turns=turns, offset=offset)
         support.append(tuple(live))
     return ResidueProfile(support=tuple(support), entries=entries)
 
@@ -79,6 +77,5 @@ def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueP
     for (i, j), entry in prof.entries.items():
         qctx = tables.blocks[i].quotients[j]
         turns = (entry.turns + k) % qctx.rotation_order
-        log = turns * qctx.x_exponent + entry.offset
-        entries[(i, j)] = DlogEntry(log=log, turns=turns, offset=entry.offset)
+        entries[(i, j)] = DlogEntry(turns=turns, offset=entry.offset)
     return ResidueProfile(support=prof.support, entries=entries)

@@ -425,15 +425,22 @@ class QuotientFieldCtx:
     x has order R = rotation_order only if P | x**R - 1, checked once before the
     field is built with period R: x**R = 1 then folds a product or residue, so a
     dense Phi_p modulus costs a product one division row instead of t - 1.
+    Its quotient gives the CRT `cofactor` C = (x**n - 1) / P, and `cofactor_inv` = C**-1:
+    x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R), so C is the period quotient
+    (x**R - 1) / P, of degree R - t < R, repeated every R places.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
         self.n, self.rep = n, rep
         self.rep_gcd = math.gcd(n, rep)
-        self.rotation_order = n // self.rep_gcd
-        if polys.divmod_(base_field, xn_minus_1(base_field, self.rotation_order), modulus)[1]:
-            raise OrderMismatchError(f"modulus does not divide x**{self.rotation_order} - 1")
-        self.field = ExtensionField(base_field, tuple(modulus), period=self.rotation_order)
+        self.rotation_order = r = n // self.rep_gcd
+        period_quot, rem = polys.divmod_(base_field, xn_minus_1(base_field, r), modulus)
+        if rem:
+            raise OrderMismatchError(f"modulus does not divide x**{r} - 1")
+        self.field = ExtensionField(base_field, tuple(modulus), period=r)
+        gap = (base_field.zero,) * (self.field.degree - 1)  # deg period_quot = R - t
+        self.cofactor = ((period_quot + gap) * self.rep_gcd)[: n - self.field.degree + 1]
+        self.cofactor_inv = self.field.inv(self.field.from_poly(self.cofactor))
         self.group_order = self.field.order - 1
         prime_powers = factorize(self.group_order)
         self.x_class = self.field.from_poly(polys.x(base_field))

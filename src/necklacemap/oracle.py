@@ -151,9 +151,6 @@ class VerificationReport:
     def all_ok(self) -> bool:
         return all(self.flags.values())
 
-    def flag_items(self) -> list[tuple[str, bool]]:
-        return list(self.flags.items())
-
     def to_payload(self) -> dict:
         """JSON-ready content; counts as decimal strings, no timing."""
         return {

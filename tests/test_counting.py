@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -46,6 +47,13 @@ class TestNecklaceCount:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             necklace_count(0, 2)
+
+    @pytest.mark.parametrize("q", [2, 3, 10])
+    def test_matches_burnside_to_300(self, q):
+        # Burnside: the average number of words fixed by the n rotations
+        for n in range(1, 301):
+            fixed = sum(q ** math.gcd(k, n) for k in range(n))
+            assert necklace_count(n, q) * n == fixed, n
 
 
 class TestBinaryZeroSum:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necklacemap import decomposition, polys
+from necklacemap import decomposition, fields, polys
 from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import (
     build_tables,
@@ -19,9 +19,10 @@ from necklacemap.decomposition import (
     shift,
 )
 from necklacemap.errors import NotCoprimeError
-from necklacemap.fields import ExtensionField, PrimeField, build_field
+from necklacemap.fields import ExtensionField, PrimeField, build_field, xn_minus_1
 from necklacemap.numtheory import RingParams, euler_phi, factorize
 from reference import factor_by_splitting_field
+from test_fields import golden_instances
 
 
 class TestCosets:
@@ -216,6 +217,53 @@ class TestSetupCost:
         monkeypatch.setattr(ExtensionField, "mul", counted)
         build_tables(RingParams.create(33, 4))
         assert calls <= 1579
+
+    def test_subtractions_per_build_of_63_2(self, monkeypatch):
+        # one division per quotient: the CRT cofactor is the period check's
+        # quotient repeated, so x**63 - 1 is never divided by a factor
+        calls = 0
+        sub = PrimeField.sub
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return sub(self, a, b)
+
+        monkeypatch.setattr(PrimeField, "sub", counted)
+        build_tables(RingParams.create(63, 2))
+        assert calls <= 8500
+
+
+def assert_cofactors(tables) -> int:
+    """Every quotient's cofactor is (x**n - 1) / P exactly, and cofactor_inv
+    inverts it; returns how many cofactors tile with gaps (period < n, degree > 1)."""
+    n, gapped = tables.params.n, 0
+    for block in tables.blocks:
+        for qctx in block.quotients:
+            quot, rem = polys.divmod_(block.field, xn_minus_1(block.field, n), qctx.field.modulus)
+            assert rem == () and qctx.cofactor == quot
+            cofactor = qctx.field.from_poly(qctx.cofactor)
+            assert qctx.field.mul(cofactor, qctx.cofactor_inv) == qctx.field.one
+            gapped += qctx.rotation_order < n and qctx.field.degree > 1
+    return gapped
+
+
+class TestCofactors:
+    @pytest.mark.parametrize("n,q", sorted(set(golden_instances()) | {(9, 2), (21, 4)}))
+    def test_cofactor_is_the_quotient_of_x_n_minus_1(self, tables_for, n, q):
+        gapped = assert_cofactors(tables_for(n, q))
+        if (n, q) in ((63, 2), (33, 4), (21, 4)):
+            assert gapped
+
+    def test_tuple_base_zeros_fill_the_gaps(self, monkeypatch):
+        # past TABLE_LIMIT the base GF(4) keeps tuples; coset {3, 12} of
+        # (15, 4) has period 5 and degree 2, so its cofactor tiles with a gap
+        monkeypatch.setattr(fields, "TABLE_LIMIT", 3)
+        t = build_tables(RingParams.create(15, 4))
+        assert isinstance(t.blocks[0].field, ExtensionField)
+        assert assert_cofactors(t)
+        word = tuple(range(4)) * 3 + (3, 1, 2)
+        assert crt_combine(t, crt_split(t, word)) == word
 
 
 class TestCrt:

@@ -135,7 +135,6 @@ class TestProfile:
     def test_worked_support(self, tables_for):
         prof = profile(tables_for(3, 10), (1, 1, 1))
         assert prof.support == ((0,), (0,))
-        assert prof.entry(0, 0).log == 3
         assert prof.entry(0, 0).turns == 0 and prof.entry(0, 0).offset == 3
 
     def test_zero_word(self, tables_for):
@@ -147,7 +146,7 @@ class TestProfile:
         t = tables_for(3, 10)
         prof = profile(t, (1, 0, 0))
         assert prof.support == ((0, 1), (0, 1))
-        assert all(e.log == 0 for e in prof.entries.values())
+        assert all(e.turns == 0 and e.offset == 0 for e in prof.entries.values())
 
 
 def unit_words(tables):

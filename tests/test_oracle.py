@@ -69,7 +69,7 @@ class TestVerify:
 
     def test_flag_names(self):
         report = verify_bijection(2, 3)
-        assert [name for name, _ in report.flag_items()] == [
+        assert list(report.flags) == [
             "total",
             "injective",
             "surjective",
