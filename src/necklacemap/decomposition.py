@@ -30,10 +30,9 @@ from .fields import (
     build_field,
     extend_field,
     find_primitive,
-    has_order,
     xn_minus_1,
 )
-from .numtheory import PrimePowerFactor, RingParams, euler_phi, factorize
+from .numtheory import PrimePowerFactor, RingParams, euler_phi
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,13 @@ def cyclotomic_cosets(n: int, qi: int) -> list[CyclotomicCoset]:
 
 
 def _root_of_unity(ext, n: int):
-    """Canonical element of multiplicative order n, proved by has_order: a power
-    of the first primitive element.  (Scanning for order exactly n would touch
-    most of the field once the splitting extension gets large.)"""
-    omega = ext.pow(find_primitive(ext), (ext.order - 1) // n)
-    if not has_order(ext, omega, factorize(n)):  # also when n does not divide ext.order - 1
+    """Canonical element of multiplicative order n: w = g**((Q - 1)/n) for g the first
+    primitive element of the field of order Q, which find_primitive proves, so w has
+    order n exactly when n | Q - 1.  (Scanning for order exactly n would touch most of
+    the field once the splitting extension gets large.)"""
+    if (ext.order - 1) % n:
         raise InternalError("splitting field has no root of unity of order n")
-    return omega
+    return ext.pow(find_primitive(ext), (ext.order - 1) // n)
 
 
 def cyclotomic_polynomial(field, m: int, memo: dict) -> tuple:
@@ -126,6 +125,9 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
         # no coset outgrows the coset of 1, whose size is the order of |field| mod n
         ext = extend_field(field, max(c.size for c in cosets))
         omega = _root_of_unity(ext, n)
+        roots = [ext.one]  # w**k for k < n, one product each
+        for _ in range(n - 1):
+            roots.append(ext.mul(roots[-1], omega))
 
     factors, memo = [], {}
     for coset, m in zip(cosets, orders):
@@ -134,7 +136,7 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
         else:
             poly = (ext.one,)
             for k in coset.members:
-                poly = polys.mul(ext, poly, (ext.neg(ext.pow(omega, k)), ext.one))
+                poly = polys.mul(ext, poly, (ext.neg(roots[k]), ext.one))
             if any(c[1:] != ext.zero[1:] for c in poly):
                 raise InternalError("factor coefficient escaped the base field")
             factor = polys.trim(field, [c[0] for c in poly])

@@ -1,13 +1,15 @@
-"""Finite fields in one level: prime fields, GF(p**t) by tables, extensions, quotient contexts.
+"""Finite fields: prime fields, GF(p**t) by tables, extensions over either, quotient contexts.
 
 Elements are plain data.  An element of a prime field is an int in [0, p),
 and so is one of GF(p**t): its own canonical index, multiplied and added
 by table.  An element of an extension of degree t over either is a t-tuple
-of base elements (little-endian in powers of the defining root), so
-extensions never nest and their products never recurse.  All hash and
-compare structurally.  An extension squares with about half the base
-products, and reduces products and residues alike by one remainder routine,
-which in a quotient field first folds x**u onto x**(u - R) by x**R = 1.
+of base elements (little-endian in powers of the defining root).  Over
+such a base an extension is one tuple level of ints; only a base above
+TABLE_LIMIT is itself a tuple field, whose extensions nest once and whose
+products recurse.  All hash and compare structurally.  A product runs over
+one factor's nonzero coefficients, a square over about half their pairs,
+and products and residues alike reduce by one remainder routine, which in
+a quotient field first folds x**u onto x**(u - R) by x**R = 1.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -127,29 +129,23 @@ class ExtensionField:
         return tuple(map(self.base.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
+        """a*b over b's s nonzero terms: each nonzero a_i times each; a square (a is b) takes
+        the a_i**2 and, for odd p, the doubled a_i*a_j, i < j: s(s+1)/2 products, s for p = 2."""
+        zero, add, mul = self.base.zero, self.base.add, self.base.mul
+        conv = [zero] * (2 * self.degree - 1)
+        terms = [(j, c) for j, c in enumerate(b) if c != zero]
         if a is b:
-            return self._square(a)
-        zero, add, mul = self.base.zero, self.base.add, self.base.mul
-        conv = [zero] * (2 * self.degree - 1)
-        for i, ca in enumerate(a):
-            if ca == zero:
-                continue
-            for j, cb in enumerate(b):
-                conv[i + j] = add(conv[i + j], mul(ca, cb))
-        return self._reduce(conv)
-
-    def _square(self, a: tuple) -> tuple:
-        """a*a by the a_i**2 and, for odd p, the doubled a_i*a_j, i < j: s(s+1)/2 base
-        products over s nonzero a_i, or s in characteristic 2, where cross terms vanish."""
-        zero, add, mul = self.base.zero, self.base.add, self.base.mul
-        conv = [zero] * (2 * self.degree - 1)
-        terms = [(i, c) for i, c in enumerate(a) if c != zero]
-        for k, (i, c) in enumerate(terms):
-            conv[2 * i] = add(conv[2 * i], mul(c, c))
-            if self.p != 2:
-                twice = add(c, c)
-                for j, d in terms[k + 1 :]:
-                    conv[i + j] = add(conv[i + j], mul(twice, d))
+            for k, (i, c) in enumerate(terms):
+                conv[2 * i] = add(conv[2 * i], mul(c, c))
+                if self.p != 2:
+                    twice = add(c, c)
+                    for j, d in terms[k + 1 :]:
+                        conv[i + j] = add(conv[i + j], mul(twice, d))
+        else:
+            for i, ca in enumerate(a):
+                if ca != zero:
+                    for j, cb in terms:
+                        conv[i + j] = add(conv[i + j], mul(ca, cb))
         return self._reduce(conv)
 
     def inv(self, a: tuple) -> tuple:
@@ -327,7 +323,8 @@ def has_order(field, a, prime_powers) -> bool:
 
     Projects a down a balanced tree of the prime powers, split as in _prime_power_tree
     with the smallest prime leftmost: for coprime A, B, a has order A*B iff a**B has
-    order A and a**A order B.  The first leaf that fails ends the proof.
+    order A and a**A order B.  The first leaf that fails ends the proof.  Only
+    find_primitive calls it: every other order follows from the primitive's.
     """
     powers = sorted(prime_powers, key=lambda f: f.p)
     if not powers:
@@ -406,28 +403,28 @@ def _log_in_tree(field, node: tuple, y) -> int:
 class QuotientFieldCtx:
     """One quotient field F[x]/P with its rotation and generator data.
 
-    `x_class` is the class of x, whose multiplicative order is
-    n / gcd(n, rep) where rep is the minimal representative of the
-    matching coset of residues.  `generator` is the canonical cyclic
-    generator whose x_exponent-th power equals x_class: primitive**u for
-    the first primitive element and the least unit u mod group_order with
-    u * x_exponent = log(x_class) mod group_order.
+    `x_class` is the class of x, whose multiplicative order is R = rotation_order =
+    n / gcd(n, rep), rep the minimal representative of the matching coset of residues.
+    `generator` is the canonical cyclic generator whose x_exponent-th power equals
+    x_class: primitive**u for the first primitive element and the least unit u mod
+    group_order with u * x_exponent = log(x_class) mod group_order.
 
-    Logs are taken to the primitive's base by Pohlig-Hellman (IEEE Trans.
-    IT 24(1), 1978) over the one factorization of group_order made here: a
-    balanced binary tree of the prime powers p**e of the order, with CRT
-    joins at the nodes and baby-step giant-step in each p**e subgroup at
-    the leaves.  Set-up takes one, of x_class, which proves its order and
-    gives u; dlog scales by u**-1.  A log costs about sqrt of the largest
-    p**e plus a few exponentiations per tree level; no table spans the
-    whole unit group.  find_primitive and _check_generator prove orders by
-    has_order, which projects down the same split.
-    x has order R = rotation_order only if P | x**R - 1, checked once before the
-    field is built with period R: x**R = 1 then folds a product or residue, so a
-    dense Phi_p modulus costs a product one division row instead of t - 1.
-    Its quotient gives the CRT `cofactor` C = (x**n - 1) / P, and `cofactor_inv` = C**-1:
-    x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R), so C is the period quotient
-    (x**R - 1) / P, of degree R - t < R, repeated every R places.
+    Logs are taken to the primitive's base by Pohlig-Hellman (IEEE Trans. IT 24(1),
+    1978) over the one factorization of group_order made here: a balanced binary tree
+    of its prime powers p**e, with CRT joins at the nodes and baby-step giant-step in
+    each p**e subgroup at the leaves; dlog scales by u**-1.  A log costs about sqrt of
+    the largest p**e plus a few exponentiations per tree level; no table spans the group.
+
+    Set-up proves each fact once: the period division that P | x**R - 1 (else
+    OrderMismatchError); ExtensionField that P is irreducible; find_primitive, by
+    has_order, that `primitive` generates; the one log, of x_class, that x has
+    order R (else OrderMismatchError).  u is a unit, so the generator is primitive
+    with no proof of its own, and generator**x_exponent == x_class checks the log
+    (else InternalError).  The field is built with period R: x**R = 1 folds a product
+    or residue, so a dense Phi_p modulus costs a product one division row, not t - 1.
+    The division's quotient gives the CRT `cofactor` C = (x**n - 1) / P, and
+    `cofactor_inv` = C**-1: x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R), so C is
+    the period quotient (x**R - 1) / P, of degree R - t < R, repeated every R places.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
@@ -464,12 +461,6 @@ class QuotientFieldCtx:
             raise InternalError("no unit exponent reaches the class of x")  # pragma: no cover
         self.generator = self.field.pow(primitive, u)
         self._unscale = pow(u, -1, self.group_order)
-        self._check_generator(prime_powers)
-
-    def _check_generator(self, prime_powers):
-        """has_order proves the generator primitive; its x_exponent-th power must be x_class."""
-        if not has_order(self.field, self.generator, prime_powers):
-            raise OrderMismatchError("generator is not primitive")
         if self.field.pow(self.generator, self.x_exponent) != self.x_class:
             raise InternalError("generator does not reach the class of x")
 

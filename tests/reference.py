@@ -14,8 +14,9 @@
   primitive**x_exponent until one is x_class; QuotientFieldCtx takes that
   log in its Pohlig-Hellman tree instead.
 - element_order divides |F*| by each of its primes while the power stays
-  1; the library proves orders only through a log or by has_order on the
-  order it expects.
+  1; the library proves an order only by has_order on a primitive
+  candidate, through a log, or as an integer fact about a power of a
+  proved primitive.
 - primitive_by_scan takes the first index from 1 whose element_order is
   |F*|; find_primitive skips a proper extension's base constants and
   rejects candidates by their norm before has_order.

@@ -80,6 +80,8 @@ class TestSolve:
         assert t.automorphisms.for_support([[1, 1], [1]]).support == ((1,), (1,))
         with pytest.raises(ValueError):
             t.automorphisms.for_support(((5,), ()))
+        with pytest.raises(ValueError):
+            t.automorphisms.normalize(((1,),))
 
     def test_unreachable_diagonal_instance_raises(self):
         # cross-factor congruence 3*h1 + h2 = 1 (mod 4) has no odd solution;
@@ -202,3 +204,5 @@ class TestApply:
         aut = tables_for(3, 10).automorphisms.for_support(((1,), (1,)))
         with pytest.raises(ValueError):
             aut.apply((1,))
+        with pytest.raises(ValueError):
+            aut.apply_inv((1, 1, 1))

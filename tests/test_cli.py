@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from necklacemap import cli, errors
+from necklacemap import cli, errors, oracle
 from necklacemap.cli import main
 from necklacemap.decomposition import build_tables, crt_combine
 from necklacemap.fields import QuotientFieldCtx
@@ -91,6 +91,28 @@ class TestBasics:
         assert "bijection certified: 4 <-> 4" in out
         assert "elapsed" in err
 
+    def test_failed_verify_reports_and_exits_1(self, capsys, monkeypatch):
+        # the image (6, 9, 9) of the necklace (1, 1, 1) unmaps to a wrong word
+        real = oracle.unmap_function
+
+        def wrong_once(tables, image):
+            word = real(tables, image)
+            return (2, 1, 1) if image == (6, 9, 9) else word
+
+        monkeypatch.setattr(oracle, "unmap_function", wrong_once)
+        code, out, err = run(capsys, "verify", "3", "10")
+        lines = out.splitlines()
+        assert code == 1 and "elapsed:" in err
+        assert [line for line in lines if "FAILED" in line] == [
+            "inverse_ok: FAILED",
+            "certification FAILED: 340 necklaces, 340 functions",
+        ]
+        assert lines[-1] == "certification FAILED: 340 necklaces, 340 functions"
+        code, out, err = run(capsys, "--json", "verify", "3", "10")
+        result = json.loads(out)["result"]
+        assert code == 1 and "elapsed:" in err
+        assert result["certified"] is False and result["flags"]["inverse_ok"] is False
+
     def test_verify_builds_the_tables_once(self, capsys, monkeypatch):
         built = []
         real = QuotientFieldCtx.__init__
@@ -112,6 +134,10 @@ class TestExitCodes:
         assert run(capsys, "map", "3", "10", "1,1,11")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys)[0] == 2
+
+    def test_nonpositive_length_exits_2(self, capsys):
+        code, out, err = run(capsys, "cosets", "0", "5")
+        assert (code, out) == (2, "") and err.startswith("argument error:")
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -70,6 +70,10 @@ class TestBinaryZeroSum:
         with pytest.raises(EvenNError):
             binary_zero_sum_count(4)
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            binary_zero_sum_count(0)
+
     def test_odd_matches_enumeration_to_13(self):
         for n in range(1, 14, 2):
             assert binary_zero_sum_count(n) == count_zero_sum_subsets(n)

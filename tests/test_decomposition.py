@@ -18,10 +18,10 @@ from necklacemap.decomposition import (
     orbit_canonical,
     shift,
 )
-from necklacemap.errors import NotCoprimeError
+from necklacemap.errors import InternalError, NotCoprimeError
 from necklacemap.fields import ExtensionField, PrimeField, build_field, xn_minus_1
 from necklacemap.numtheory import RingParams, euler_phi, factorize
-from reference import factor_by_splitting_field
+from reference import element_order, factor_by_splitting_field
 from test_fields import golden_instances
 
 
@@ -48,6 +48,10 @@ class TestCosets:
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             cyclotomic_cosets(6, 2)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            cyclotomic_cosets(0, 2)
 
     @pytest.mark.parametrize("n,qi", [(3, 5), (7, 2), (9, 2), (5, 4), (12, 5), (15, 2)])
     def test_partition(self, n, qi):
@@ -76,6 +80,13 @@ class TestFactorXnMinus1:
     def test_rejects_common_factor(self):
         with pytest.raises(NotCoprimeError):
             factor_xn_minus_1(4, build_field(2, 1))
+
+    def test_root_of_unity_needs_n_to_divide_the_group_order(self):
+        # GF(2**4) has 15 units: an element of order 5, and none of order 7
+        ext = fields.extend_field(PrimeField(2), 4)
+        assert element_order(ext, decomposition._root_of_unity(ext, 5)) == 5
+        with pytest.raises(InternalError, match="no root of unity of order n"):
+            decomposition._root_of_unity(ext, 7)
 
     @pytest.mark.parametrize(
         "n,p,t",
@@ -233,6 +244,35 @@ class TestSetupCost:
         build_tables(RingParams.create(63, 2))
         assert calls <= 8500
 
+    def test_extension_products_per_build_of_63_2(self, monkeypatch):
+        # each generator's order follows from its exponent, with no proof of its
+        # own, and the split cosets read the n powers of one root of unity
+        calls = 0
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        build_tables(RingParams.create(63, 2))
+        assert calls <= 1100
+
+    def test_products_skip_zero_terms_of_17_3(self, monkeypatch):
+        # a product runs over the nonzero coefficients of one factor only
+        calls = 0
+        mul = PrimeField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(PrimeField, "mul", counted)
+        build_tables(RingParams.create(17, 3))
+        assert calls <= 70_000
+
 
 def assert_cofactors(tables) -> int:
     """Every quotient's cofactor is (x**n - 1) / P exactly, and cofactor_inv
@@ -344,6 +384,14 @@ class TestCrt:
             crt_split(t, (1, 1))
         with pytest.raises(ValueError):
             crt_split(t, (1, 1, 10))
+
+    def test_combine_validation(self, tables_for):
+        t = tables_for(3, 10)
+        residues = crt_split(t, (1, 1, 1))
+        with pytest.raises(ValueError):
+            crt_combine(t, residues[:1])
+        with pytest.raises(ValueError):
+            crt_combine(t, (residues[0], residues[1][:1]))
 
 
 class TestShift:

@@ -8,7 +8,7 @@ import pytest
 from necklacemap import decomposition, fields, polys
 from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import build_tables, cyclotomic_cosets
-from necklacemap.errors import NotPrimeError, OrderMismatchError, ZeroElementError
+from necklacemap.errors import InternalError, NotPrimeError, OrderMismatchError, ZeroElementError
 from necklacemap.fields import (
     ExtensionField,
     PrimeField,
@@ -173,6 +173,19 @@ class TestArithmetic:
             b = tuple(list(a))
             assert b is not a and b == a
             assert f.mul(a, a) == f.mul(a, b), a
+
+    def test_sparse_factor_costs_the_same_on_either_side(self, monkeypatch, tables_for):
+        # GF(3**16) modulo Phi_17: a dense a and a b with one nonzero coefficient
+        f = tables_for(17, 3).blocks[0].quotients[1].field
+        assert f.degree == 16
+        a, b = tuple(1 + i % 2 for i in range(16)), (0,) * 5 + (2,) + (0,) * 10
+        calls = []
+        mul = PrimeField.mul
+        monkeypatch.setattr(PrimeField, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+        ab = f.mul(a, b)
+        ab_calls = len(calls)
+        calls.clear()
+        assert f.mul(b, a) == ab and len(calls) == ab_calls
 
     def test_tower_field(self):
         # degree-2 extension of GF(4): 16 elements, arithmetic closes
@@ -453,6 +466,19 @@ class TestQuotientCtx:
         with pytest.raises(OrderMismatchError):
             QuotientFieldCtx(PrimeField(5), (1, 1), n=3, rep=1)
 
+    def test_wrong_log_of_x_is_caught(self, monkeypatch):
+        # GF(25) modulo x^2+x+1: a log of x_class off by the unit factor 5 keeps its
+        # gcd 8 with the group order 24, so only the generator check can see it
+        real = fields._log_in_tree
+
+        def off_by_a_unit(field, node, y):
+            log = real(field, node, y)
+            return log * 5 % 24 if len(node) == 5 and node[0] * node[1] == 24 else log
+
+        monkeypatch.setattr(fields, "_log_in_tree", off_by_a_unit)
+        with pytest.raises(InternalError, match="generator does not reach the class of x"):
+            QuotientFieldCtx(PrimeField(5), (1, 1, 1), n=3, rep=1)
+
     def test_generator_constraint_across_reps(self):
         # all quotients of x^5 - 1 over F4
         base = build_field(2, 2)
@@ -496,3 +522,8 @@ def test_extension_requires_monic():
         ExtensionField(PrimeField(5), (1, 2))
     with pytest.raises(ValueError):
         ExtensionField(PrimeField(5), (1, 0, 1))  # reducible over F5
+
+
+def test_extension_degree_must_be_positive():
+    with pytest.raises(ValueError):
+        extend_field(PrimeField(2), 0)

@@ -97,6 +97,10 @@ class TestRingParams:
         with pytest.raises(NotCoprimeError):
             RingParams.create(6, 9)
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            RingParams.create(0, 2)
+
     def test_worked_instance(self):
         p = RingParams.create(3, 10)
         assert [f.value for f in p.factors] == [5, 2]
