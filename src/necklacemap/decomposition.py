@@ -82,12 +82,12 @@ def cyclotomic_cosets(n: int, qi: int) -> list[CyclotomicCoset]:
 
 def _root_of_unity(ext, n: int):
     """Canonical element of multiplicative order n: w = g**((Q - 1)/n) for g the first
-    primitive element of the field of order Q, which find_primitive proves, so w has
-    order n exactly when n | Q - 1.  (Scanning for order exactly n would touch most of
-    the field once the splitting extension gets large.)"""
+    primitive element of the field of order Q, proved down find_primitive's tree (the
+    tree is then dropped), so w has order n exactly when n | Q - 1.  (Scanning for order
+    exactly n would touch most of the field once the splitting extension gets large.)"""
     if (ext.order - 1) % n:
         raise InternalError("splitting field has no root of unity of order n")
-    return ext.pow(find_primitive(ext), (ext.order - 1) // n)
+    return ext.pow(find_primitive(ext)[0], (ext.order - 1) // n)
 
 
 def cyclotomic_polynomial(field, m: int, memo: dict) -> tuple:

@@ -14,7 +14,9 @@ a quotient field first folds x**u onto x**(u - R) by x**R = 1.
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
 enumeration, which counts coefficients lexicographically from the low
-constant upward.  That keeps the whole construction reproducible.
+constant upward.  That keeps the whole construction reproducible.  The
+primitive element's order is proved by one walk down the Pohlig-Hellman
+tree of N = |F*|, and a quotient field's logs take that same tree.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ class TableField:
         flat = extend_field(PrimeField(p), t)
         self.base, self.modulus, self.degree, self.order = flat.base, flat.modulus, t, flat.order
         self.p, self.zero, self.one, self._n = p, 0, 1, flat.order - 1
-        exp, log = _powers(flat, find_primitive(flat)), [0] * self.order
+        exp, log = _powers(flat, find_primitive(flat)[0]), [0] * self.order
         for k, a in enumerate(exp):
             log[a] = k
         self._exp, self._log = exp + exp, log
@@ -293,50 +295,57 @@ def _digits(base, i: int, t: int) -> tuple:
     return tuple(base.from_index(i // base.order**u % base.order) for u in range(t))
 
 
-def find_primitive(field):
-    """First element of maximal order in the canonical enumeration.
+def find_primitive(field) -> tuple:
+    """First element of maximal order in the canonical enumeration, with its tree.
 
-    A proper extension's scan skips its base constants, which cannot be
-    primitive.  Over a base of order q, a**(N/r) = Norm(a)**((q-1)/r) for
-    each prime r | q - 1, with the norm the resultant of the modulus and a;
-    a candidate whose norm fails costs no power in the field.  A candidate
-    that passes has proved those primes, so has_order proves a**M, M the
-    part of N on them, over the other prime powers of N alone.
+    Returns (primitive, tree), the _prime_power_tree over the one factorization
+    of N = |F*| whose walk proved it.  A proper extension's scan skips its base
+    constants, which cannot be primitive.  Over a base of order q,
+    a**(N/r) = Norm(a)**((q-1)/r) for each prime r | q - 1, with the norm the
+    resultant of the modulus and a; a candidate whose norm fails costs no
+    power in the field, and the others walk the tree to their first failing leaf.
     """
     prime_powers = factorize(field.order - 1)
     base = field.base if isinstance(field, ExtensionField) and field.degree > 1 else None
     norm_primes = [] if base is None else [f.p for f in factorize(base.order - 1)]
-    proved = math.prod(f.value for f in prime_powers if f.p in norm_primes)
-    rest = [f for f in prime_powers if f.p not in norm_primes]
     for i in range(field.base.order if field.degree > 1 else 1, field.order):
         a = field.from_index(i)
         norm = polys.resultant(base, field.modulus, polys.trim(base, a)) if norm_primes else None
         if any(base.pow(norm, (base.order - 1) // r) == base.one for r in norm_primes):
             continue
-        if has_order(field, field.pow(a, proved), rest):
-            return a
+        tree = _prime_power_tree(field, a, prime_powers)
+        if tree is not None:
+            return a, tree
     raise InternalError("no primitive element found")  # pragma: no cover
 
 
-def has_order(field, a, prime_powers) -> bool:
-    """True iff a**N = 1 and a**(N/p) != 1 for each prime p of N = prod(prime_powers).
+def _prime_power_tree(field, g, prime_powers: list):
+    """Pohlig-Hellman tree of g over N = prod(prime_powers), or None if g**(N/p) = 1 for a p.
 
-    Projects a down a balanced tree of the prime powers, split as in _prime_power_tree
-    with the smallest prime leftmost: for coprime A, B, a has order A*B iff a**B has
-    order A and a**A order B.  The first leaf that fails ends the proof.  Only
-    find_primitive calls it: every other order follows from the primitive's.
+    For coprime a, b and g**(a*b) = 1, g has order a*b iff g**b has order a and g**a
+    order b, so the walk that proves g's order N builds its logs' tree.  A leaf p**e is
+    (p**e, h), h = g**(N/p**e), and fails if h**(p**(e-1)) = 1; the trivial group is one
+    leaf of order 1.  A node splits the list, in factorize's order, in halves of products
+    a and b: (a, b, a**-1 mod b, left, right), left the tree of g**b and right that of
+    g**a, walked first as it holds the small prime powers, where most candidates fail.
     """
-    powers = sorted(prime_powers, key=lambda f: f.p)
-    if not powers:
-        return a == field.one
-    if len(powers) == 1:
-        p, e = powers[0]
-        w = field.pow(a, p ** (e - 1))
-        return w != field.one and field.pow(w, p) == field.one
-    left, right = powers[: len(powers) // 2], powers[len(powers) // 2 :]
-    return has_order(field, field.pow(a, math.prod(f.value for f in right)), left) and has_order(
-        field, field.pow(a, math.prod(f.value for f in left)), right
-    )
+    if len(prime_powers) <= 1:
+        p, e = prime_powers[0] if prime_powers else (1, 1)
+        return None if p > 1 and field.pow(g, p ** (e - 1)) == field.one else (p**e, g)
+    half = len(prime_powers) // 2
+    a = math.prod(f.value for f in prime_powers[:half])
+    b = math.prod(f.value for f in prime_powers[half:])
+    right = _prime_power_tree(field, field.pow(g, a), prime_powers[half:])
+    left = right and _prime_power_tree(field, field.pow(g, b), prime_powers[:half])
+    return (a, b, pow(a, -1, b), left, right) if left else None
+
+
+def _with_tables(field, node: tuple) -> tuple:
+    """The tree with each leaf (order, h) replaced by (order, *baby_table(field, h, order))."""
+    if len(node) == 2:
+        return (node[0], *baby_table(field, node[1], node[0]))
+    a, b, a_inv, left, right = node
+    return (a, b, a_inv, _with_tables(field, left), _with_tables(field, right))
 
 
 def baby_table(field, g, order: int) -> tuple[dict, object]:
@@ -373,23 +382,6 @@ def discrete_log(field, y, order: int, babies: dict, giant) -> int:
     raise InternalError("element is not a power of the base")
 
 
-def _prime_power_tree(field, g, orders: list) -> tuple:
-    """Pohlig-Hellman split of the group generated by g, of order prod(orders).
-
-    The orders are pairwise coprime.  A leaf, one order, is (order, babies,
-    giant).  A node splits the list in halves of products a and b into
-    (a, b, a**-1 mod b, left, right), where left is the tree of g**b, of
-    order a, and right the tree of g**a, of order b.
-    """
-    if len(orders) == 1:
-        return (orders[0], *baby_table(field, g, orders[0]))
-    half = len(orders) // 2
-    a, b = math.prod(orders[:half]), math.prod(orders[half:])
-    left = _prime_power_tree(field, field.pow(g, b), orders[:half])
-    right = _prime_power_tree(field, field.pow(g, a), orders[half:])
-    return (a, b, pow(a, -1, b), left, right)
-
-
 def _log_in_tree(field, node: tuple, y) -> int:
     """Log of y in the tree node: the CRT join of log(y**b) mod a and log(y**a) mod b."""
     if len(node) == 3:
@@ -410,16 +402,17 @@ class QuotientFieldCtx:
     group_order with u * x_exponent = log(x_class) mod group_order.
 
     Logs are taken to the primitive's base by Pohlig-Hellman (IEEE Trans. IT 24(1),
-    1978) over the one factorization of group_order made here: a balanced binary tree
-    of its prime powers p**e, with CRT joins at the nodes and baby-step giant-step in
-    each p**e subgroup at the leaves; dlog scales by u**-1.  A log costs about sqrt of
-    the largest p**e plus a few exponentiations per tree level; no table spans the group.
+    1978) down the tree that proved the primitive, over the one factorization of
+    group_order: a balanced binary tree of its prime powers p**e, with CRT joins at the
+    nodes and baby-step giant-step in each p**e subgroup at the leaves, whose tables are
+    filled here; dlog scales by u**-1.  A log costs about sqrt of the largest p**e plus
+    a few exponentiations per tree level; no table spans the group.
 
     Set-up proves each fact once: the period division that P | x**R - 1 (else
-    OrderMismatchError); ExtensionField that P is irreducible; find_primitive, by
-    has_order, that `primitive` generates; the one log, of x_class, that x has
-    order R (else OrderMismatchError).  u is a unit, so the generator is primitive
-    with no proof of its own, and generator**x_exponent == x_class checks the log
+    OrderMismatchError); ExtensionField that P is irreducible; find_primitive, by the
+    walk that builds the log tree, that `primitive` generates; the one log, of x_class,
+    that x has order R (else OrderMismatchError).  u is a unit, so the generator is
+    primitive with no proof of its own, and generator**x_exponent == x_class checks the log
     (else InternalError).  The field is built with period R: x**R = 1 folds a product
     or residue, so a dense Phi_p modulus costs a product one division row, not t - 1.
     The division's quotient gives the CRT `cofactor` C = (x**n - 1) / P, and
@@ -439,12 +432,9 @@ class QuotientFieldCtx:
         self.cofactor = ((period_quot + gap) * self.rep_gcd)[: n - self.field.degree + 1]
         self.cofactor_inv = self.field.inv(self.field.from_poly(self.cofactor))
         self.group_order = self.field.order - 1
-        prime_powers = factorize(self.group_order)
         self.x_class = self.field.from_poly(polys.x(base_field))
-        primitive = find_primitive(self.field)
-        # the trivial group of GF(2) is one leaf of order 1
-        orders = [f.value for f in prime_powers] or [1]
-        self._log_tree = _prime_power_tree(self.field, primitive, orders)
+        primitive, tree = find_primitive(self.field)
+        self._log_tree = _with_tables(self.field, tree)
         # x_class = primitive**L has order group_order / gcd(L, group_order)
         log_x = _log_in_tree(self.field, self._log_tree, self.x_class)
         self.x_exponent = math.gcd(log_x, self.group_order)

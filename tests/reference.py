@@ -14,12 +14,12 @@
   primitive**x_exponent until one is x_class; QuotientFieldCtx takes that
   log in its Pohlig-Hellman tree instead.
 - element_order divides |F*| by each of its primes while the power stays
-  1; the library proves an order only by has_order on a primitive
-  candidate, through a log, or as an integer fact about a power of a
-  proved primitive.
+  1; the library proves an order only by _prime_power_tree's walk of a
+  primitive candidate, through a log, or as an integer fact about a power
+  of a proved primitive.
 - primitive_by_scan takes the first index from 1 whose element_order is
   |F*|; find_primitive skips a proper extension's base constants and
-  rejects candidates by their norm before has_order.
+  rejects candidates by their norm before it walks their tree.
 - is_irreducible_by_trial divides by every monic polynomial of degree up
   to half; polys.is_irreducible rejects p-th powers at once and runs the
   Frobenius gcd test on the rest.
@@ -164,7 +164,7 @@ def generator_by_log(qctx: QuotientFieldCtx):
     """
     field = qctx.field
     n_units = qctx.group_order
-    primitive = find_primitive(field)
+    primitive, _ = find_primitive(field)
     target = dlog_by_bsgs(field, primitive, qctx.x_class, n_units)
     e = qctx.x_exponent
     if target % e != 0:
@@ -187,7 +187,7 @@ def generator_by_walk(qctx: QuotientFieldCtx):
     """
     field = qctx.field
     n_units = qctx.group_order
-    primitive = find_primitive(field)
+    primitive, _ = find_primitive(field)
     h = field.pow(primitive, qctx.x_exponent)
     u, acc = 0, field.one
     while acc != qctx.x_class:

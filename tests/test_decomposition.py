@@ -215,8 +215,8 @@ class TestSetupCost:
         assert counts["mul"] <= 110_000 and counts["sub"] <= 30_000, counts
 
     def test_norm_proved_primes_are_not_proved_again(self, monkeypatch):
-        # GF(4**5): a candidate whose norm passes has order divisible by 3,
-        # so has_order proves only the 11 and the 31
+        # GF(4**5): a candidate whose norm passes has order divisible by 3, so
+        # the tree walk's check at the leaf 3, pow(h, 1), makes no product
         calls = 0
         mul = ExtensionField.mul
 
@@ -258,6 +258,22 @@ class TestSetupCost:
         monkeypatch.setattr(ExtensionField, "mul", counted)
         build_tables(RingParams.create(63, 2))
         assert calls <= 1100
+
+    def test_extension_products_per_build_of_inverse_ladder(self, monkeypatch):
+        # one tree walk proves each primitive and holds its logs' tables, and
+        # walks the small prime powers first, so most candidates fail early
+        calls = 0
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        for n, q in [(5, 6), (7, 10), (13, 6), (63, 2), (11, 12), (33, 4), (17, 3)]:
+            build_tables(RingParams.create(n, q))
+        assert calls <= 4100
 
     def test_products_skip_zero_terms_of_17_3(self, monkeypatch):
         # a product runs over the nonzero coefficients of one factor only

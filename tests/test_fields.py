@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from necklacemap import decomposition, fields, polys
+from necklacemap import decomposition, fields, numtheory, polys
 from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import build_tables, cyclotomic_cosets
 from necklacemap.errors import InternalError, NotPrimeError, OrderMismatchError, ZeroElementError
@@ -14,12 +14,12 @@ from necklacemap.fields import (
     PrimeField,
     QuotientFieldCtx,
     TableField,
+    _prime_power_tree,
     baby_table,
     build_field,
     discrete_log,
     extend_field,
     find_primitive,
-    has_order,
 )
 from necklacemap.numtheory import RingParams, factorize
 from reference import element_order, generator_by_log, generator_by_walk, primitive_by_scan
@@ -337,11 +337,11 @@ class TestOrders:
 
     @pytest.mark.parametrize("p,t,expected", [(2, 1, 1), (5, 1, 2), (7, 1, 3)])
     def test_find_primitive(self, p, t, expected):
-        assert find_primitive(build_field(p, t)) == expected
+        assert find_primitive(build_field(p, t))[0] == expected
 
     def test_primitive_in_extension(self):
         f = build_field(2, 4)
-        g = find_primitive(f)
+        g, _ = find_primitive(f)
         assert element_order(f, g) == 15
 
     def test_primitive_matches_scan_from_one(self, monkeypatch):
@@ -350,9 +350,9 @@ class TestOrders:
         small = [extend_field(PrimeField(p), t) for p, t in small_prime_powers(256)]
         assert splitting and any(f.degree > 1 for f in quotients)
         for f in quotients + splitting + small:
-            assert find_primitive(f) == primitive_by_scan(f), f
+            assert find_primitive(f)[0] == primitive_by_scan(f), f
 
-    def test_has_order_matches_element_order(self):
+    def test_prime_power_tree_matches_element_order(self):
         gf4 = build_field(2, 2)
         cases = [extend_field(PrimeField(p), t) for p, t in [(2, 6), (3, 4), (5, 2)]]
         for f in cases + [extend_field(gf4, 3)]:
@@ -362,7 +362,9 @@ class TestOrders:
                 a = f.from_index(i)
                 order = element_order(f, a)
                 for d in divisors:
-                    assert has_order(f, a, factorize(d)) == (order == d), (f, i, d)
+                    if f.pow(a, d) == f.one:
+                        tree = _prime_power_tree(f, a, factorize(d))
+                        assert (tree is not None) == (order == d), (f, i, d)
 
 
 class TestNorm:
@@ -389,14 +391,14 @@ class TestNorm:
 class TestDiscreteLog:
     def test_prime_field_group(self):
         f = PrimeField(101)
-        g = find_primitive(f)
+        g, _ = find_primitive(f)
         steps = baby_table(f, g, 100)
         for k in range(0, 100, 7):
             assert discrete_log(f, f.pow(g, k), 100, *steps) == k
 
     def test_bsgs_path(self):
         f = build_field(2, 11)  # unit group of order 2047, a 46-entry baby table
-        g = find_primitive(f)
+        g, _ = find_primitive(f)
         babies, giant = baby_table(f, g, 2047)
         assert len(babies) == 46 and f.mul(giant, f.pow(g, 46)) == f.one
         for k in [0, 1, 2, 100, 1023, 2046]:
@@ -430,6 +432,20 @@ class TestQuotientCtx:
         assert q.x_exponent == 8
         assert element_order(q.field, q.generator) == 24
         assert q.field.pow(q.generator, 8) == q.x_class
+
+    def test_group_order_is_factored_once(self, monkeypatch):
+        # the walk that proves the primitive builds the tree its logs take, so the
+        # one factorization of group_order serves both
+        seen = []
+
+        def counted(m, *args, **kwargs):
+            seen.append(m)
+            return factorize(m, *args, **kwargs)
+
+        monkeypatch.setattr(fields, "factorize", counted)
+        monkeypatch.setattr(numtheory, "factorize", counted)
+        q = QuotientFieldCtx(PrimeField(5), (1, 1, 1), n=3, rep=1)
+        assert seen.count(q.group_order) == 1, seen
 
     @pytest.mark.parametrize("n,q", [(5, 6), (9, 2), (63, 2), (13, 6), (17, 3)])
     def test_folded_remainder_matches_polys(self, n, q, tables_for):
