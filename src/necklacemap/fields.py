@@ -78,16 +78,28 @@ class PrimeField:
 
 class ExtensionField:
     """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce.
-    A `period` R > 0 says the modulus divides x**R - 1; only QuotientFieldCtx passes one."""
+    A `period` R > 0, which only QuotientFieldCtx passes once its division proved that the
+    modulus P divides x**R - 1, proves P irreducible with no Frobenius step: deg P must be
+    ord_R(|base|), and gcd(P, x**(R/r) - 1) = 1 for each prime r | R makes every root a
+    primitive R-th root of unity, so every irreducible factor of P has that degree and P is
+    one (Lidl & Niederreiter, Finite Fields, Thm 2.47); otherwise ValueError."""
 
     def __init__(self, base, modulus: tuple, period: int = 0):
         if len(modulus) < 2 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 1")
-        if not polys.is_irreducible(base, modulus):
-            raise ValueError("modulus is reducible")
+        self.degree = len(modulus) - 1
+        if period:  # the degree must be ord_R(|base|); no k exists if |base| is no unit mod R
+            exps = (k for k in range(1, period + 1) if pow(base.order, k, period) == 1 % period)
+            proved = self.degree == next(exps, 0) and all(
+                polys.gcd(base, modulus, xn_minus_1(base, period // r)) == (base.one,)
+                for r, _ in factorize(period))
+        else:
+            proved = polys.is_irreducible(base, modulus)
+        if not proved:
+            raise ValueError(f"modulus is no irreducible factor of Phi_{period}" if period
+                             else "modulus is reducible")
         self.base, self.p, self.period = base, base.p, period
         self.modulus = tuple(modulus)
-        self.degree = len(modulus) - 1
         self.order = base.order**self.degree
         self.zero = (base.zero,) * self.degree
         self.one = (base.one,) + self.zero[1:]
@@ -408,16 +420,17 @@ class QuotientFieldCtx:
     filled here; dlog scales by u**-1.  A log costs about sqrt of the largest p**e plus
     a few exponentiations per tree level; no table spans the group.
 
-    Set-up proves each fact once: the period division that P | x**R - 1 (else
-    OrderMismatchError); ExtensionField that P is irreducible; find_primitive, by the
-    walk that builds the log tree, that `primitive` generates; the one log, of x_class,
-    that x has order R (else OrderMismatchError).  u is a unit, so the generator is
-    primitive with no proof of its own, and generator**x_exponent == x_class checks the log
-    (else InternalError).  The field is built with period R: x**R = 1 folds a product
-    or residue, so a dense Phi_p modulus costs a product one division row, not t - 1.
-    The division's quotient gives the CRT `cofactor` C = (x**n - 1) / P, and
-    `cofactor_inv` = C**-1: x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R), so C is
-    the period quotient (x**R - 1) / P, of degree R - t < R, repeated every R places.
+    Set-up proves each fact once (else OrderMismatchError): the period division that
+    P | x**R - 1; ExtensionField's period certificate that P is irreducible with roots of
+    order R, which the one log, of x_class, must match.  find_primitive's walk, which
+    builds the log tree, proves that `primitive` generates; u is a unit, so the generator
+    is primitive with no proof of its own, and generator**x_exponent == x_class checks
+    the log (else InternalError).  The field has period R: x**R = 1 folds a product or
+    residue, so a dense Phi_p modulus costs a product one division row, not t - 1.  The
+    division's quotient gives the CRT `cofactor` C = (x**n - 1) / P, as x**n - 1 =
+    (x**R - 1) * sum(x**(k*R), k < n/R): the period quotient (x**R - 1) / P, of degree
+    R - t < R, repeated every R places.  `cofactor_inv` = C**-1 = x * P' / n mod P, since
+    n * x**(n-1) = P' * C mod P (d/dx of x**n - 1 = P * C) and x**n = 1; one product checks.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
@@ -427,10 +440,17 @@ class QuotientFieldCtx:
         period_quot, rem = polys.divmod_(base_field, xn_minus_1(base_field, r), modulus)
         if rem:
             raise OrderMismatchError(f"modulus does not divide x**{r} - 1")
-        self.field = ExtensionField(base_field, tuple(modulus), period=r)
+        try:
+            self.field = ExtensionField(base_field, tuple(modulus), period=r)
+        except ValueError as refused:
+            raise OrderMismatchError(f"modulus is no irreducible factor of Phi_{r}") from refused
         gap = (base_field.zero,) * (self.field.degree - 1)  # deg period_quot = R - t
         self.cofactor = ((period_quot + gap) * self.rep_gcd)[: n - self.field.degree + 1]
-        self.cofactor_inv = self.field.inv(self.field.from_poly(self.cofactor))
+        p, n_inv, from_index = base_field.p, pow(n, -1, base_field.p), base_field.from_index
+        self.cofactor_inv = self.field.from_poly(  # x * P' / n: P's coefficient u times u / n
+            [base_field.mul(from_index(u * n_inv % p), m) for u, m in enumerate(modulus)])
+        if self.field.mul(self.field.from_poly(self.cofactor), self.cofactor_inv) != self.field.one:
+            raise InternalError("x * P' / n does not invert the CRT cofactor")
         self.group_order = self.field.order - 1
         self.x_class = self.field.from_poly(polys.x(base_field))
         primitive, tree = find_primitive(self.field)

@@ -22,7 +22,9 @@
   rejects candidates by their norm before it walks their tree.
 - is_irreducible_by_trial divides by every monic polynomial of degree up
   to half; polys.is_irreducible rejects p-th powers at once and runs the
-  Frobenius gcd test on the rest.
+  Frobenius gcd test on the rest for u <= d/2 only (Ben-Or), and a
+  quotient's period field proves its modulus P | x**R - 1 by its degree
+  ord_R(q) and its gcds with x**(R/r) - 1, with no Frobenius step.
 - factor_by_splitting_field multiplies out prod(x - w**k) over every
   coset's members in the splitting extension; factor_xn_minus_1 takes the
   cyclotomic polynomial Phi_m for a coset holding every residue of order m

@@ -19,7 +19,13 @@ from necklacemap.decomposition import (
     shift,
 )
 from necklacemap.errors import InternalError, NotCoprimeError
-from necklacemap.fields import ExtensionField, PrimeField, build_field, xn_minus_1
+from necklacemap.fields import (
+    ExtensionField,
+    PrimeField,
+    QuotientFieldCtx,
+    build_field,
+    xn_minus_1,
+)
 from necklacemap.numtheory import RingParams, euler_phi, factorize
 from reference import element_order, factor_by_splitting_field
 from test_fields import golden_instances
@@ -288,6 +294,29 @@ class TestSetupCost:
         monkeypatch.setattr(PrimeField, "mul", counted)
         build_tables(RingParams.create(17, 3))
         assert calls <= 70_000
+
+
+class TestSetupProofs:
+    def test_quotients_prove_by_cyclotomic_order(self, monkeypatch):
+        # over the inverse ladder, (17,3) included, set-up inverts no element, and a
+        # quotient proves its modulus irreducible by its period, with no Frobenius test
+        tests, inversions = [], []
+        is_irreducible, inv = polys.is_irreducible, ExtensionField.inv
+        monkeypatch.setattr(
+            ExtensionField, "inv", lambda self, a: inversions.append(a) or inv(self, a)
+        )
+        quotients = [
+            qctx
+            for n, q in [(5, 6), (7, 10), (13, 6), (63, 2), (11, 12), (33, 4), (17, 3)]
+            for block in build_tables(RingParams.create(n, q)).blocks
+            for qctx in block.quotients
+        ]
+        monkeypatch.setattr(
+            polys, "is_irreducible", lambda base, f: tests.append(f) or is_irreducible(base, f)
+        )
+        for qctx in quotients:
+            QuotientFieldCtx(qctx.field.base, qctx.field.modulus, qctx.n, qctx.rep)
+        assert inversions == [] and tests == []
 
 
 def assert_cofactors(tables) -> int:

@@ -20,9 +20,16 @@ from necklacemap.fields import (
     discrete_log,
     extend_field,
     find_primitive,
+    xn_minus_1,
 )
 from necklacemap.numtheory import RingParams, factorize
-from reference import element_order, generator_by_log, generator_by_walk, primitive_by_scan
+from reference import (
+    element_order,
+    generator_by_log,
+    generator_by_walk,
+    is_irreducible_by_trial,
+    primitive_by_scan,
+)
 
 
 def small_prime_powers(limit):
@@ -531,6 +538,48 @@ class TestQuotientCtx:
                         rep_zero += qctx.rep == 0
                         compared += 1
         assert {1, 2, 3} <= seen_t and shared_gcd and rep_zero and compared > 100
+
+
+class TestPeriodCertificate:
+    @pytest.mark.parametrize(
+        "p,t,untried", [(2, 1, []), (3, 1, [23, 25, 29]), (2, 2, [19, 23, 25, 27, 29])]
+    )
+    def test_matches_trial_division(self, p, t, untried):
+        # every monic divisor P of x**R - 1, R <= 30, as a product of a subset of its
+        # factors: a period field accepts P iff P is irreducible and x has order R
+        # mod P.  Trial division would try more than 3**9 candidates of one degree
+        # only at P = Phi_R for the `untried` R, which are left out
+        field, skipped = build_field(p, t), []
+        for R in range(1, 31):
+            if R % p == 0:
+                continue
+            factors = decomposition.factor_xn_minus_1(R, field)
+            for mask in range(1, 1 << len(factors)):
+                chosen = [f for i, f in enumerate(factors) if mask >> i & 1]
+                P = (field.one,)
+                for f in chosen:
+                    P = polys.mul(field, P, f)
+                if field.order ** min(polys.degree(P) // 2, *map(polys.degree, chosen)) > 3**9:
+                    skipped.append(R)
+                    continue
+                order = next(e for e in range(1, R + 1) if not polys.mod(field, xn_minus_1(field, e), P))
+                try:
+                    ExtensionField(field, P, period=R)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (is_irreducible_by_trial(field, P) and order == R), (R, P)
+        assert skipped == untried
+
+    def test_only_the_gcd_refuses_phi_7_at_period_21(self):
+        # Phi_7 = (x**3 + x + 1)(x**3 + x**2 + 1) over F_2 has degree 6 = ord_21(2)
+        F2 = PrimeField(2)
+        phi_7 = (1,) * 7
+        assert polys.gcd(F2, phi_7, xn_minus_1(F2, 3)) == (1,)
+        assert polys.gcd(F2, phi_7, xn_minus_1(F2, 7)) == phi_7
+        assert not is_irreducible_by_trial(F2, phi_7)
+        with pytest.raises(ValueError):
+            ExtensionField(F2, phi_7, period=21)
 
 
 def test_extension_requires_monic():
