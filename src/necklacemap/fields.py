@@ -6,10 +6,15 @@ by table.  An element of an extension of degree t over either is a t-tuple
 of base elements (little-endian in powers of the defining root).  Over
 such a base an extension is one tuple level of ints; only a base above
 TABLE_LIMIT is itself a tuple field, whose extensions nest once and whose
-products recurse.  All hash and compare structurally.  A product runs over
-one factor's nonzero coefficients, a square over about half their pairs,
-and products and residues alike reduce by one remainder routine, which in
-a quotient field first folds x**u onto x**(u - R) by x**R = 1.
+products recurse.  All hash and compare structurally.  Above TABLE_LIMIT a
+field over F_p multiplies by Kronecker substitution (D. Harvey, J. Symbolic
+Comput. 44(10), 2009): both tuples packed into one int each, one int product.
+Every other field, at or below the limit or over a table or tuple base,
+keeps the schoolbook loop, whose base products the set-up guards count and
+which tabled logs are to replace: a product runs over one factor's nonzero
+coefficients, a square over about half their pairs.  Products and residues
+alike reduce by one remainder routine, which in a quotient field first
+folds x**u onto x**(u - R) by x**R = 1.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -78,6 +83,10 @@ class PrimeField:
 
 class ExtensionField:
     """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce.
+    Over F_p above TABLE_LIMIT, mul packs each tuple into an int of one slot of whole bytes
+    per coefficient, takes one int product, folds it by x**R = 1 and reduces each slot mod p
+    (one bytes.translate for one-byte slots) before the division rows; a field at or below
+    the limit, or over a table or tuple base, keeps the schoolbook loop behind one test.
     A `period` R > 0, which only QuotientFieldCtx passes once its division proved that the
     modulus P divides x**R - 1, proves P irreducible with no Frobenius step: deg P must be
     ord_R(|base|), and gcd(P, x**(R/r) - 1) = 1 for each prime r | R makes every root a
@@ -108,6 +117,13 @@ class ExtensionField:
         ones = tuple(v for v, m in low if m == base.one)
         tail = tuple((v, m) for v, m in low if m not in (base.zero, base.one))
         self._reduction = (base.zero, base.sub, base.mul, ones, tail)
+        # bytes per packed coefficient (0: schoolbook).  A slot sums at most t products of
+        # two residues below p: slot u < R also takes a*b's x**(u + R), and the two sum
+        # (u + 1) + (2t - 1 - u - R) < t of them, as t < R
+        self._slot = 0
+        if isinstance(base, PrimeField) and self.order > TABLE_LIMIT:
+            self._slot = -(-(self.degree * (base.p - 1) ** 2).bit_length() // 8)
+            self._residues = bytes(v % base.p for v in range(256))
 
     def _reduce(self, rem: list) -> tuple:
         """rem mod the modulus, in place; len(rem) >= degree.  A period R first folds each
@@ -143,15 +159,31 @@ class ExtensionField:
         return tuple(map(self.base.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        """a*b over b's s nonzero terms: each nonzero a_i times each; a square (a is b) takes
-        the a_i**2 and, for odd p, the doubled a_i*a_j, i < j: s(s+1)/2 products, s for p = 2."""
-        zero, add, mul = self.base.zero, self.base.add, self.base.mul
+        """a*b: packed, one int product, an int square when a is b.  Else over b's s nonzero
+        terms: each nonzero a_i times each; a square (a is b) takes the a_i**2 and, for odd p,
+        the doubled a_i*a_j, i < j: s(s+1)/2 products, s for p = 2."""
+        w = self._slot
+        if w:  # one int product of the packed tuples, folded by x**R = 1 on the int
+            c = self._pack(a)
+            c *= c if a is b else self._pack(b)  # a square when a is b
+            slots = 2 * self.degree - 1
+            if slots > self.period > 0:
+                slots, cut = self.period, 8 * w * self.period
+                c = (c & ((1 << cut) - 1)) + (c >> cut)
+            raw = c.to_bytes(w * slots, "little")
+            if w == 1:
+                return self._reduce(list(raw.translate(self._residues)))
+            return self._reduce(
+                [int.from_bytes(raw[i : i + w], "little") % self.p for i in range(0, w * slots, w)])
+        base = self.base  # one load of base and of p each, to pay for the test of _slot
+        zero, add, mul = base.zero, base.add, base.mul
         conv = [zero] * (2 * self.degree - 1)
         terms = [(j, c) for j, c in enumerate(b) if c != zero]
         if a is b:
+            odd = self.p != 2
             for k, (i, c) in enumerate(terms):
                 conv[2 * i] = add(conv[2 * i], mul(c, c))
-                if self.p != 2:
+                if odd:
                     twice = add(c, c)
                     for j, d in terms[k + 1 :]:
                         conv[i + j] = add(conv[i + j], mul(twice, d))
@@ -161,6 +193,11 @@ class ExtensionField:
                     for j, cb in terms:
                         conv[i + j] = add(conv[i + j], mul(ca, cb))
         return self._reduce(conv)
+
+    def _pack(self, a: tuple) -> int:
+        w = self._slot
+        return int.from_bytes(bytes(a) if w == 1 else b"".join(c.to_bytes(w, "little") for c in a),
+                              "little")
 
     def inv(self, a: tuple) -> tuple:
         if a == self.zero:

@@ -63,7 +63,7 @@ def divmod_(field, a, b) -> tuple[tuple, tuple]:
     """Quotient and remainder of a by nonzero b."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = field.inv(b[-1])
+    lead_inv = field.one if b[-1] == field.one else field.inv(b[-1])
     rem = list(a)
     if len(rem) < len(b):
         return (), trim(field, rem)
@@ -85,7 +85,7 @@ def mod(field, a, b) -> tuple:
 def monic(field, a) -> tuple:
     if not a:
         return ()
-    return scale(field, field.inv(a[-1]), a)
+    return scale(field, field.one if a[-1] == field.one else field.inv(a[-1]), a)
 
 
 def gcd(field, a, b) -> tuple:

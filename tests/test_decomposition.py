@@ -295,6 +295,36 @@ class TestSetupCost:
         build_tables(RingParams.create(17, 3))
         assert calls <= 70_000
 
+    def test_base_products_per_build_below_the_limit(self, monkeypatch):
+        # GF(5**6) modulo Phi_7 of (7,10) keeps the schoolbook loop: squares take
+        # half the products, and Phi_7 folds by x**7 = 1 to one division row
+        counts = {"mul": 0, "sub": 0}
+        for name in counts:
+            op = getattr(PrimeField, name)
+
+            def counted(self, a, b, name=name, op=op):
+                counts[name] += 1
+                return op(self, a, b)
+
+            monkeypatch.setattr(PrimeField, name, counted)
+        build_tables(RingParams.create(7, 10))
+        assert counts["mul"] <= 1900 and counts["sub"] <= 700, counts
+
+    def test_products_skip_zero_terms_below_the_limit(self, monkeypatch):
+        # GF(2**12) modulo Phi_13 of (13,6) keeps the schoolbook loop, which runs
+        # over the nonzero coefficients of one factor only
+        calls = 0
+        mul = PrimeField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(PrimeField, "mul", counted)
+        build_tables(RingParams.create(13, 6))
+        assert calls <= 3600
+
 
 class TestSetupProofs:
     def test_quotients_prove_by_cyclotomic_order(self, monkeypatch):
@@ -317,6 +347,19 @@ class TestSetupProofs:
         for qctx in quotients:
             QuotientFieldCtx(qctx.field.base, qctx.field.modulus, qctx.n, qctx.rep)
         assert inversions == [] and tests == []
+
+    def test_tuple_base_inverts_no_one(self, monkeypatch):
+        # past TABLE_LIMIT the base GF(4) keeps tuples; a division by a monic
+        # modulus and a gcd whose last remainder is monic invert nothing
+        monkeypatch.setattr(fields, "TABLE_LIMIT", 3)
+        inversions = []
+        inv = ExtensionField.inv
+        monkeypatch.setattr(
+            ExtensionField, "inv", lambda self, a: inversions.append(a == self.one) or inv(self, a)
+        )
+        tables = build_tables(RingParams.create(15, 4))
+        assert isinstance(tables.blocks[0].field, ExtensionField)
+        assert inversions and not any(inversions)
 
 
 def assert_cofactors(tables) -> int:

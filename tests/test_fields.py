@@ -194,6 +194,20 @@ class TestArithmetic:
         calls.clear()
         assert f.mul(b, a) == ab and len(calls) == ab_calls
 
+    def test_sparse_factor_costs_the_same_below_the_limit(self, monkeypatch, tables_for):
+        # GF(5**6) modulo Phi_7 keeps the schoolbook loop: a dense a and a b with one
+        # nonzero coefficient make one base product per nonzero a_i, in either order
+        f = tables_for(7, 10).blocks[0].quotients[1].field
+        assert f.degree == 6 and f.order <= fields.TABLE_LIMIT
+        a, b = tuple(1 + i % 4 for i in range(6)), (0, 0, 3, 0, 0, 0)
+        calls = []
+        mul = PrimeField.mul
+        monkeypatch.setattr(PrimeField, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+        ab = f.mul(a, b)
+        ab_calls = len(calls)
+        calls.clear()
+        assert f.mul(b, a) == ab and len(calls) == ab_calls <= 6
+
     def test_tower_field(self):
         # degree-2 extension of GF(4): 16 elements, arithmetic closes
         base = build_field(2, 2)
@@ -203,6 +217,57 @@ class TestArithmetic:
         b = f.from_index(11)
         assert f.mul(a, f.inv(a)) == f.one
         assert f.sub(f.add(a, b), b) == a
+
+
+class TestPackedProduct:
+    """Above TABLE_LIMIT a field over F_p multiplies by one int product of its packed
+    coefficients (Kronecker substitution); polys is the reference, at slots of one byte
+    (translated) and of several, with and without the fold by x**R = 1."""
+
+    @pytest.mark.parametrize(
+        "p,t,period,slot",
+        [
+            (2, 21, 0, 1),  # GF(2**21), the tuple base of (5, 2097152)
+            (2, 100, 101, 1),  # GF(2**100) modulo Phi_101, folded
+            (3, 16, 17, 1),  # GF(3**16) modulo Phi_17, folded
+            (7, 12, 13, 2),  # GF(7**12) modulo Phi_13, folded
+            (5, 16, 17, 2),  # GF(5**16) modulo Phi_17: slot 15 of (4, ..., 4)**2 is 256
+            (2**20 + 7, 2, 0, 6),
+            (2**32 + 15, 2, 0, 9),
+        ],
+    )
+    def test_products_and_squares_match_polys(self, p, t, period, slot):
+        base = PrimeField(p)
+        f = ExtensionField(base, (1,) * (t + 1), period) if period else extend_field(base, t)
+        assert f.degree == t and f.order > fields.TABLE_LIMIT and f._slot == slot
+        rng = random.Random(p + t)
+        elements = [f.zero, f.one, (p - 1,) * t]  # all p - 1 fills every slot to its bound
+        elements += [tuple(rng.randrange(p) for _ in range(t)) for _ in range(12)]
+
+        def reference(a, b):
+            r = polys.mod(base, polys.mul(base, polys.trim(base, a), polys.trim(base, b)), f.modulus)
+            return r + (base.zero,) * (t - len(r))
+
+        for a in elements:
+            copy = tuple(list(a))
+            assert copy is not a and f.mul(a, a) == f.mul(a, copy) == reference(a, a), a
+            for b in elements[:5]:
+                assert f.mul(a, b) == f.mul(b, a) == reference(a, b), (a, b)
+
+    def test_only_fields_above_the_limit_pack(self, monkeypatch, tables_for):
+        # GF(5**6) of (7,10) and GF(2**20), at or below TABLE_LIMIT, multiply by base
+        # products; GF(2**21) and GF(3**16) modulo Phi_17 make none
+        small = [tables_for(7, 10).blocks[0].quotients[1].field, extend_field(PrimeField(2), 20)]
+        big = [extend_field(PrimeField(2), 21), tables_for(17, 3).blocks[0].quotients[1].field]
+        assert small[1].order == fields.TABLE_LIMIT and big[1].degree == 16
+        calls = []
+        mul = PrimeField.mul
+        monkeypatch.setattr(PrimeField, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+        for f in small + big:
+            a = tuple(1 + i % (f.p - 1) for i in range(f.degree))
+            calls.clear()
+            f.mul(f.mul(a, a), a)
+            assert bool(calls) == (f in small), f
 
 
 class TestTableField:
