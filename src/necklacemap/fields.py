@@ -83,10 +83,9 @@ class PrimeField:
 
 class ExtensionField:
     """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce.
-    Over F_p above TABLE_LIMIT, mul packs each tuple into an int of one slot of whole bytes
-    per coefficient, takes one int product, folds it by x**R = 1 and reduces each slot mod p
-    (one bytes.translate for one-byte slots) before the division rows; a field at or below
-    the limit, or over a table or tuple base, keeps the schoolbook loop behind one test.
+    Over F_p above TABLE_LIMIT, mul is one int product of the packed tuples (_kronecker);
+    a field at or below it, or over a table or tuple base, keeps the schoolbook loop, whose
+    base products the set-up guards count and which tabled logs are to replace.
     A `period` R > 0, which only QuotientFieldCtx passes once its division proved that the
     modulus P divides x**R - 1, proves P irreducible with no Frobenius step: deg P must be
     ord_R(|base|), and gcd(P, x**(R/r) - 1) = 1 for each prime r | R makes every root a
@@ -159,31 +158,18 @@ class ExtensionField:
         return tuple(map(self.base.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        """a*b: packed, one int product, an int square when a is b.  Else over b's s nonzero
-        terms: each nonzero a_i times each; a square (a is b) takes the a_i**2 and, for odd p,
-        the doubled a_i*a_j, i < j: s(s+1)/2 products, s for p = 2."""
-        w = self._slot
-        if w:  # one int product of the packed tuples, folded by x**R = 1 on the int
-            c = self._pack(a)
-            c *= c if a is b else self._pack(b)  # a square when a is b
-            slots = 2 * self.degree - 1
-            if slots > self.period > 0:
-                slots, cut = self.period, 8 * w * self.period
-                c = (c & ((1 << cut) - 1)) + (c >> cut)
-            raw = c.to_bytes(w * slots, "little")
-            if w == 1:
-                return self._reduce(list(raw.translate(self._residues)))
-            return self._reduce(
-                [int.from_bytes(raw[i : i + w], "little") % self.p for i in range(0, w * slots, w)])
-        base = self.base  # one load of base and of p each, to pay for the test of _slot
-        zero, add, mul = base.zero, base.add, base.mul
+        """a*b, packed by _kronecker above TABLE_LIMIT.  Else over b's s nonzero terms: each
+        nonzero a_i times each; a square (a is b) takes the a_i**2 and, for odd p, the
+        doubled a_i*a_j, i < j: s(s+1)/2 products, s for p = 2."""
+        if self._slot:  # out of line: inlined here, it cost the loop about 3% per call
+            return self._kronecker(a, b)
+        zero, add, mul = self.base.zero, self.base.add, self.base.mul
         conv = [zero] * (2 * self.degree - 1)
         terms = [(j, c) for j, c in enumerate(b) if c != zero]
         if a is b:
-            odd = self.p != 2
             for k, (i, c) in enumerate(terms):
                 conv[2 * i] = add(conv[2 * i], mul(c, c))
-                if odd:
+                if self.p != 2:
                     twice = add(c, c)
                     for j, d in terms[k + 1 :]:
                         conv[i + j] = add(conv[i + j], mul(twice, d))
@@ -193,6 +179,22 @@ class ExtensionField:
                     for j, cb in terms:
                         conv[i + j] = add(conv[i + j], mul(ca, cb))
         return self._reduce(conv)
+
+    def _kronecker(self, a: tuple, b: tuple) -> tuple:
+        """a*b as one int product of the packed tuples (a square when a is b), folded by
+        x**R = 1 on the int; each w-byte slot is reduced mod p before the division rows."""
+        w = self._slot
+        c = self._pack(a)
+        c *= c if a is b else self._pack(b)
+        slots = 2 * self.degree - 1
+        if slots > self.period > 0:
+            slots, cut = self.period, 8 * w * self.period
+            c = (c & ((1 << cut) - 1)) + (c >> cut)
+        raw = c.to_bytes(w * slots, "little")
+        if w == 1:
+            return self._reduce(list(raw.translate(self._residues)))
+        return self._reduce(
+            [int.from_bytes(raw[i : i + w], "little") % self.p for i in range(0, w * slots, w)])
 
     def _pack(self, a: tuple) -> int:
         w = self._slot
