@@ -3,9 +3,9 @@
 Subcommands: cosets, factors, map, unmap, count, verify, zero-sum-count.
 Global flags --json and --factor-order work before or after the
 subcommand.  Necklaces and functions travel as comma-separated decimal
-colors, index 0 first.  Exit codes: 0 success, 1 domain errors or a failed
-certification, 2 argument errors, 3 broken internal invariants; each error
-type in errors.py carries its own.
+colors, index 0 first.  Exit codes: 0 success, 1 domain errors, a failed
+certification or exhausted memory, 2 argument errors, 3 broken internal
+invariants; each error type in errors.py carries its own.
 """
 
 from __future__ import annotations
@@ -283,6 +283,9 @@ def main(argv=None) -> int:
         code = getattr(exc, "exit_code", 2)
         print(f"{_PREFIXES[code]}: {exc}", file=sys.stderr)
         return code
+    except MemoryError:
+        print(f"{_PREFIXES[1]}: ran out of memory", file=sys.stderr)
+        return 1
     if args.json:
         config: dict = {"factor_order": args.factor_order}
         if out.tables is not None:

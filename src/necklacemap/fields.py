@@ -14,7 +14,9 @@ keeps the schoolbook loop, whose base products the set-up guards count and
 which tabled logs are to replace: a product runs over one factor's nonzero
 coefficients, a square over about half their pairs.  Products and residues
 alike reduce by one remainder routine, which in a quotient field first
-folds x**u onto x**(u - R) by x**R = 1.
+folds x**u onto x**(u - R) by x**R = 1.  An ExtensionField proves its own
+modulus irreducible with its own products: by its period in a quotient
+field, by Ben-Or's test otherwise.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -86,26 +88,27 @@ class ExtensionField:
     Over F_p above TABLE_LIMIT, mul is one int product of the packed tuples (_kronecker);
     a field at or below it, or over a table or tuple base, keeps the schoolbook loop, whose
     base products the set-up guards count and which tabled logs are to replace.
-    A `period` R > 0, which only QuotientFieldCtx passes once its division proved that the
-    modulus P divides x**R - 1, proves P irreducible with no Frobenius step: deg P must be
-    ord_R(|base|), and gcd(P, x**(R/r) - 1) = 1 for each prime r | R makes every root a
-    primitive R-th root of unity, so every irreducible factor of P has that degree and P is
-    one (Lidl & Niederreiter, Finite Fields, Thm 2.47); otherwise ValueError."""
+    The field proves its modulus P irreducible with its own products, else ValueError.  Before
+    any ring set-up, P must be monic of degree >= 1 with P' != 0 (P' = 0 makes P = g(x**p) =
+    h**p, every element of a finite field being a p-th power).  A `period` R > 0, which only
+    QuotientFieldCtx passes once its division proved that P divides x**R - 1, proves P with
+    no Frobenius step: deg P must be ord_R(|base|), and gcd(P, x**(R/r) - 1) = 1 for each
+    prime r | R makes every root a primitive R-th root of unity, so every irreducible factor
+    of P has that degree and P is one (Lidl & Niederreiter, Finite Fields, Thm 2.47).  Any
+    other P takes Ben-Or's test (_ben_or)."""
 
     def __init__(self, base, modulus: tuple, period: int = 0):
         if len(modulus) < 2 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 1")
+        if all(c == base.zero for u, c in enumerate(modulus) if u % base.p):
+            raise ValueError("modulus is a p-th power")
         self.degree = len(modulus) - 1
         if period:  # the degree must be ord_R(|base|); no k exists if |base| is no unit mod R
             exps = (k for k in range(1, period + 1) if pow(base.order, k, period) == 1 % period)
-            proved = self.degree == next(exps, 0) and all(
-                polys.gcd(base, modulus, xn_minus_1(base, period // r)) == (base.one,)
-                for r, _ in factorize(period))
-        else:
-            proved = polys.is_irreducible(base, modulus)
-        if not proved:
-            raise ValueError(f"modulus is no irreducible factor of Phi_{period}" if period
-                             else "modulus is reducible")
+            if self.degree != next(exps, 0) or any(
+                    polys.gcd(base, modulus, xn_minus_1(base, period // r)) != (base.one,)
+                    for r, _ in factorize(period)):
+                raise ValueError(f"modulus is no irreducible factor of Phi_{period}")
         self.base, self.p, self.period = base, base.p, period
         self.modulus = tuple(modulus)
         self.order = base.order**self.degree
@@ -122,7 +125,22 @@ class ExtensionField:
         self._slot = 0
         if isinstance(base, PrimeField) and self.order > TABLE_LIMIT:
             self._slot = -(-(self.degree * (base.p - 1) ** 2).bit_length() // 8)
-            self._residues = bytes(v % base.p for v in range(256))
+            if self._slot == 1:
+                self._residues = bytes(v % base.p for v in range(256))
+        if not period and not self._ben_or():
+            raise ValueError("modulus is reducible")
+
+    def _ben_or(self) -> bool:
+        """Whether the modulus P, of degree d, is irreducible: a reducible P has a factor of
+        some degree u <= d/2, which divides x**(q**u) - x, q = |base| (M. Ben-Or, FOCS 1981).
+        Each x**(q**u) is the q-th power of the last, taken in this field."""
+        base = self.base
+        acc = x = self.from_poly(polys.x(base))
+        for _ in range(self.degree // 2):
+            acc = self.pow(acc, base.order)
+            if polys.gcd(base, polys.trim(base, self.sub(acc, x)), self.modulus) != (base.one,):
+                return False
+        return True
 
     def _reduce(self, rem: list) -> tuple:
         """rem mod the modulus, in place; len(rem) >= degree.  A period R first folds each
@@ -324,12 +342,18 @@ def extend_field(base, t: int) -> ExtensionField:
     The modulus is the first monic irreducible of degree t in canonical
     order: candidate k has the base-order digits of k as its coefficients,
     the constant lowest.  Each candidate's one irreducibility test is the
-    one ExtensionField makes.  Always a fresh ExtensionField, t = 1
-    included: its elements are then 1-tuples over base.
+    one ExtensionField makes.  The first |base| candidates are the binomials
+    x**t + c, and the scan skips them when none can be irreducible: when a
+    prime r | t does not divide |base| - 1 (p | t among them), or when
+    4 | t and |base| = 3 mod 4 (Lidl & Niederreiter, Finite Fields, Thm 3.75).
+    Always a fresh ExtensionField, t = 1 included: its elements are then
+    1-tuples over base.
     """
     if t < 1:
         raise ValueError("degree must be positive")
-    for k in range(base.order**t):
+    q = base.order
+    no_binomial = any((q - 1) % r for r, _ in factorize(t)) or t % 4 == 0 and q % 4 == 3
+    for k in range(q if no_binomial else 0, q**t):
         try:
             return ExtensionField(base, (*_digits(base, k, t), base.one))
         except ValueError:  # reducible

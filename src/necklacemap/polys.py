@@ -1,9 +1,12 @@
-"""Dense univariate polynomial arithmetic over a field context.
+"""Dense univariate polynomials over a field context: the set-up algebra that produces them.
 
 Polynomials are tuples of field elements, little-endian (index u holds the
 coefficient of x**u), with no trailing zeros; () is the zero polynomial.
 The field context is duck-typed: anything exposing zero/one/add/sub/neg/
-mul/inv/order and its characteristic p works (see fields.py).
+mul/inv/pow works (see fields.py).  Products, divisions, gcds and resultants
+build and test moduli; arithmetic modulo a modulus, powers included, is the
+field's own: an ExtensionField proves its modulus irreducible with its own
+products, by a period certificate or by Ben-Or's test.
 """
 
 from __future__ import annotations
@@ -23,24 +26,6 @@ def degree(poly) -> int:
 
 def x(field) -> tuple:
     return (field.zero, field.one)
-
-
-def add(field, a, b) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for u in range(n):
-        ca = a[u] if u < len(a) else field.zero
-        cb = b[u] if u < len(b) else field.zero
-        out.append(field.add(ca, cb))
-    return trim(field, out)
-
-
-def neg(field, a) -> tuple:
-    return tuple(field.neg(c) for c in a)
-
-
-def sub(field, a, b) -> tuple:
-    return add(field, a, neg(field, b))
 
 
 def scale(field, c, a) -> tuple:
@@ -106,45 +91,3 @@ def resultant(field, f, g):
         out = field.mul(out, field.neg(c) if degree(f) * degree(g) % 2 else c)
         f, g = g, r
     return field.mul(out, field.pow(g[0], degree(f))) if g else field.zero
-
-
-def pow_mod(field, base, exp: int, modulus) -> tuple:
-    """base**exp reduced mod modulus, by square-and-multiply."""
-    if exp < 0:
-        raise ValueError("negative polynomial exponents are not supported")
-    result = (field.one,)
-    acc = mod(field, base, modulus)
-    while exp:
-        if exp & 1:
-            result = mod(field, mul(field, result, acc), modulus)
-        acc = mod(field, mul(field, acc, acc), modulus)
-        exp >>= 1
-    return result
-
-
-def is_irreducible(field, f) -> bool:
-    """Irreducibility over the coefficient field.
-
-    A monic f of degree d is irreducible iff it shares no factor with
-    x**(order**u) - x for any u <= d/2: a reducible f has a factor of such a
-    degree u, which divides that split polynomial (M. Ben-Or, FOCS 1981).
-    Degree-one polynomials are always irreducible.
-    When f' = 0, every nonzero coefficient sits at an exponent divisible by
-    the characteristic p, so f = g(x**p) = h**p (every element of a finite
-    field is a p-th power) and f is reducible with no Frobenius step.
-    """
-    d = degree(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if all(c == field.zero for u, c in enumerate(f) if u % field.p):
-        return False
-    if f[-1] != field.one:
-        f = monic(field, f)
-    acc = xp = x(field)
-    for _ in range(d // 2):
-        acc = pow_mod(field, acc, field.order, f)
-        if gcd(field, sub(field, acc, xp), f) != (field.one,):
-            return False
-    return True

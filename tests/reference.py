@@ -21,10 +21,11 @@
   |F*|; find_primitive skips a proper extension's base constants and
   rejects candidates by their norm before it walks their tree.
 - is_irreducible_by_trial divides by every monic polynomial of degree up
-  to half; polys.is_irreducible rejects p-th powers at once and runs the
-  Frobenius gcd test on the rest for u <= d/2 only (Ben-Or), and a
-  quotient's period field proves its modulus P | x**R - 1 by its degree
-  ord_R(q) and its gcds with x**(R/r) - 1, with no Frobenius step.
+  to half; ExtensionField proves its own modulus with its own products:
+  it rejects p-th powers at once and runs the Frobenius gcd test on the
+  rest for u <= d/2 only (Ben-Or), and a quotient's period field proves
+  its modulus P | x**R - 1 by its degree ord_R(q) and its gcds with
+  x**(R/r) - 1, with no Frobenius step.
 - factor_by_splitting_field multiplies out prod(x - w**k) over every
   coset's members in the splitting extension; factor_xn_minus_1 takes the
   cyclotomic polynomial Phi_m for a coset holding every residue of order m
@@ -233,6 +234,13 @@ def is_irreducible_by_trial(field, f) -> bool:
             if not polys.mod(field, f, g + (field.one,)):
                 return False
     return d >= 1
+
+
+def poly_add(field, a, b) -> tuple:
+    """a + b coefficientwise, trimmed; set-up never adds polynomials, so polys has no sum."""
+    width = max(len(a), len(b))
+    a, b = (tuple(c) + (field.zero,) * (width - len(c)) for c in (a, b))
+    return polys.trim(field, map(field.add, a, b))
 
 
 def factor_by_splitting_field(n: int, field, cosets=None) -> list[tuple]:

@@ -221,6 +221,15 @@ class TestExitCodes:
         assert (code, out) == (self.EXITS[exc_type][0], "")
         assert err == self.EXITS[exc_type][1] + "planted\n"
 
+    def test_memory_error_exits_1_with_one_line(self, capsys, monkeypatch):
+        def raising(tables, word):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "map_necklace", raising)
+        code, out, err = run(capsys, "map", "3", "10", "1,1,1")
+        assert (code, out) == (1, "")
+        assert err == "error: ran out of memory\n"
+
 
 class TestJson:
     def test_envelope_shape(self, capsys):

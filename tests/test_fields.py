@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -63,7 +64,7 @@ class TestBuildField:
             build_field(6, 1)
 
     def test_modulus_reverified_independently(self):
-        # no root in the base field, and no common factor with x**(p**d) - x
+        # no root in the base field, and no monic factor of degree up to half
         for p, t in [(2, 3), (3, 2), (5, 2), (2, 6)]:
             f = build_field(p, t)
             base = f.base
@@ -71,10 +72,7 @@ class TestBuildField:
             assert all(
                 polys.mod(base, f.modulus, (base.neg(a), base.one)) != () for a in range(p)
             )
-            for d in range(1, t):
-                frob = polys.pow_mod(base, polys.x(base), p**d, f.modulus)
-                diff = polys.sub(base, frob, polys.x(base))
-                assert polys.gcd(base, diff, f.modulus) == (base.one,)
+            assert is_irreducible_by_trial(base, f.modulus)
 
 
 class TestArithmetic:
@@ -136,15 +134,17 @@ class TestArithmetic:
             assert len(calls) == expected, e
 
     def test_extension_tests_each_candidate_once(self, monkeypatch):
-        # the canonical degree-4 modulus over F3 is the sixth candidate
+        # the canonical degree-4 modulus over F3 is the sixth candidate; as 4 | 4 and
+        # 3 = 3 mod 4, no binomial x**4 + c is irreducible, and the scan constructs
+        # only the fourth to the sixth
         calls = []
-        is_irreducible = polys.is_irreducible
+        init = ExtensionField.__init__
         monkeypatch.setattr(
-            polys, "is_irreducible", lambda base, m: calls.append(m) or is_irreducible(base, m)
+            ExtensionField, "__init__", lambda self, base, m: calls.append(m) or init(self, base, m)
         )
         f = extend_field(PrimeField(3), 4)
-        assert len(calls) == 6 and calls[-1] == f.modulus
-        assert len(set(calls)) == 6
+        assert calls == [(0, 1, 0, 0, 1), (1, 1, 0, 0, 1), (2, 1, 0, 0, 1)]
+        assert calls[-1] == f.modulus
 
     @pytest.mark.parametrize(
         "base,d", [(PrimeField(3), 4), (build_field(2, 2), 5), (PrimeField(2), 6)]
@@ -645,6 +645,58 @@ class TestPeriodCertificate:
         assert not is_irreducible_by_trial(F2, phi_7)
         with pytest.raises(ValueError):
             ExtensionField(F2, phi_7, period=21)
+
+
+class TestModulusScan:
+    @pytest.mark.parametrize(
+        "base",
+        [PrimeField(p) for p in (2, 3, 5, 7, 11, 13)]
+        + [build_field(p, t) for p, t in ((2, 2), (2, 3), (3, 2), (5, 2))],
+        ids=repr,
+    )
+    def test_binomial_skip_keeps_the_first_hit(self, base):
+        # the scan from candidate 0, binomials x**t + c included, finds the same modulus
+        # as extend_field; every base**min(t, 3) here is at most 25**3
+        skipped = 0
+        for t in range(1, 9):
+            for k in itertools.count():
+                digits = tuple(base.from_index(k // base.order**u % base.order) for u in range(t))
+                try:
+                    first = ExtensionField(base, (*digits, base.one))
+                    break
+                except ValueError:
+                    continue
+            assert extend_field(base, t).modulus == first.modulus, t
+            skipped += k >= base.order
+        assert skipped
+
+    def test_no_binomial_cubic_over_a_large_prime(self, monkeypatch):
+        # 3 does not divide 1048582, so every x**3 + c has a root; the scan starts at x**3 + x
+        calls = []
+        init = ExtensionField.__init__
+        monkeypatch.setattr(
+            ExtensionField, "__init__", lambda self, base, m: calls.append(m) or init(self, base, m)
+        )
+        extend_field(PrimeField(1048583), 3)
+        assert calls == [(0, 1, 0, 1), (1, 1, 0, 1)]
+
+    @pytest.mark.parametrize(
+        "p,t,d,modulus",
+        [
+            (2, 1, 21, {0: 1, 2: 1}),  # packed
+            (3, 1, 13, {0: 1, 1: 2}),  # packed
+            (1048583, 1, 2, {0: 1}),  # packed, three bytes a slot
+            (2, 2, 11, {0: 2, 1: 1}),  # over the table base GF(4)
+            (3, 10, 3, {0: 3, 1: 1}),  # over the table base GF(3**10)
+            (2, 21, 4, {0: 1, 1: 1}),  # over the tuple base GF(2**21)
+        ],
+    )
+    def test_canonical_moduli(self, p, t, d, modulus):
+        # moduli that Ben-Or proves on the candidate ring's own products: x**d plus the
+        # listed terms, coefficients as base indices
+        base = build_field(p, t)
+        f = extend_field(base, d)
+        assert [base.to_index(c) for c in f.modulus] == [modulus.get(u, 0) for u in range(d)] + [1]
 
 
 def test_extension_requires_monic():

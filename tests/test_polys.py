@@ -1,8 +1,8 @@
 import pytest
 
 from necklacemap import polys
-from necklacemap.fields import PrimeField, build_field, extend_field
-from reference import is_irreducible_by_trial
+from necklacemap.fields import ExtensionField, PrimeField, build_field, extend_field
+from reference import is_irreducible_by_trial, poly_add
 
 F5 = PrimeField(5)
 F3 = PrimeField(3)
@@ -15,11 +15,6 @@ def test_trim_and_zero():
     assert polys.degree(()) == -1
 
 
-def test_add_sub_roundtrip():
-    a, b = (1, 2, 3), (4, 4)
-    assert polys.sub(F5, polys.add(F5, a, b), b) == a
-
-
 def test_mul_known():
     # (x + 4)(x^2 + x + 1) = x^3 + 4 over F5, i.e. x^3 - 1
     assert polys.mul(F5, (4, 1), (1, 1, 1)) == (4, 0, 0, 1)
@@ -29,7 +24,7 @@ def test_divmod_inverts_mul():
     a = (2, 0, 1, 3)
     b = (1, 1)
     q, r = polys.divmod_(F5, a, b)
-    assert polys.add(F5, polys.mul(F5, q, b), r) == a
+    assert poly_add(F5, polys.mul(F5, q, b), r) == a
     assert polys.degree(r) < polys.degree(b)
 
 
@@ -45,13 +40,23 @@ def test_gcd_monic():
     assert polys.gcd(F5, a, b) == (4, 1)
 
 
+def irreducible(field, f) -> bool:
+    """Whether ExtensionField accepts f as a modulus: its cheap refusals, then Ben-Or."""
+    try:
+        ExtensionField(field, f)
+    except ValueError:
+        return False
+    return True
+
+
 def test_pow_mod_matches_naive():
-    base = (1, 1)
+    # a power in the field is the power of the polynomial mod the modulus
     modulus = (1, 0, 1)  # x^2 + 1 over F3
+    field = ExtensionField(F3, modulus)
     acc = (F3.one,)
     for e in range(8):
-        assert polys.pow_mod(F3, base, e, modulus) == acc
-        acc = polys.mod(F3, polys.mul(F3, acc, base), modulus)
+        assert field.pow(field.from_poly((1, 1)), e) == field.from_poly(acc)
+        acc = polys.mod(F3, polys.mul(F3, acc, (1, 1)), modulus)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +72,7 @@ def test_pow_mod_matches_naive():
     ],
 )
 def test_is_irreducible(field, poly, expected):
-    assert polys.is_irreducible(field, poly) is expected
+    assert irreducible(field, poly) is expected
 
 
 def test_irreducible_count_degree2_mod2():
@@ -76,7 +81,7 @@ def test_irreducible_count_degree2_mod2():
         (c0, c1)
         for c0 in range(2)
         for c1 in range(2)
-        if polys.is_irreducible(F2, (c0, c1, 1))
+        if irreducible(F2, (c0, c1, 1))
     ]
     assert hits == [(1, 1)]
 
@@ -91,7 +96,7 @@ def test_is_irreducible_matches_trial_division(p, t, degrees):
     for d in degrees:
         for i in range(field.order**d):
             f = tuple(field.from_index(i // field.order**u % field.order) for u in range(d)) + (field.one,)
-            assert polys.is_irreducible(field, f) == is_irreducible_by_trial(field, f), f
+            assert irreducible(field, f) == is_irreducible_by_trial(field, f), f
 
 
 def test_pth_powers_take_no_frobenius_step(monkeypatch):
@@ -99,12 +104,12 @@ def test_pth_powers_take_no_frobenius_step(monkeypatch):
     field = build_field(3, 10)
 
     def refused(*args):
-        raise AssertionError("pow_mod reached")
+        raise AssertionError("ExtensionField.pow reached")
 
     with monkeypatch.context() as m:
-        m.setattr(polys, "pow_mod", refused)
+        m.setattr(ExtensionField, "pow", refused)
         for c in range(field.order):
-            assert not polys.is_irreducible(field, (c, 0, 0, field.one))
+            assert not irreducible(field, (c, 0, 0, field.one))
     assert extend_field(field, 3).modulus == (3, 1, 0, 1)
 
 
