@@ -23,7 +23,10 @@ rotating the word by k places give
 while the word's least period is n / g.  So k = -ws0 / g (mod n / g) names
 exactly one rotation, and its profile comes from the word's own profile
 by the shift law (dlog.rotate_profile).  Every step is invertible, which
-is what unmap_function walks backwards.
+is what unmap_function walks backwards, by the same law: a residue of log
+turns * x_exponent + offset is x**turns * generator**offset, so the
+inverse reads x**turns from its quotient's list (x_powers) and raises the
+generator only to the offset, below x_exponent.
 """
 
 from __future__ import annotations
@@ -144,7 +147,15 @@ def map_necklace(tables: CosetTable, word) -> tuple[int, ...]:
 
 
 def unmap_function(tables: CosetTable, values) -> tuple[int, ...]:
-    """Canonical necklace word mapping to the given zero-sum function."""
+    """Canonical necklace word mapping to the given zero-sum function.
+
+    Each live payload splits into (offset, aligned turns), the calibration is
+    undone, and the residue generator**(turns * x_exponent + offset) is taken
+    by the shift law as x_powers[turns] * generator**offset: no power at all
+    where the offset is 0, and one product after a power below x_exponent
+    otherwise.  The CRT combine of the residues gives a word of the necklace,
+    returned as its least rotation.
+    """
     values = tables.check_word(values, "function", "value")
     n = tables.params.n
     if weighted_sum(n, values) != 0:
@@ -162,7 +173,9 @@ def unmap_function(tables: CosetTable, values) -> tuple[int, ...]:
     turns = aut.apply_inv(tuple(parts[pair][1] for pair in aut.pairs))
     residues = [[qctx.field.zero for qctx in block.quotients] for block in tables.blocks]
     for (i, j), turn in zip(aut.pairs, turns):
-        qctx = tables.blocks[i].quotients[j]
-        log = turn * qctx.x_exponent + parts[(i, j)][0]
-        residues[i][j] = qctx.field.pow(qctx.generator, log)
+        qctx, offset = tables.blocks[i].quotients[j], parts[(i, j)][0]
+        residue = qctx.x_powers[turn]
+        if offset:
+            residue = qctx.field.mul(residue, qctx.field.pow(qctx.generator, offset))
+        residues[i][j] = residue
     return orbit_canonical(crt_combine(tables, residues))

@@ -14,7 +14,8 @@ keeps the schoolbook loop, whose base products the set-up guards count and
 which tabled logs are to replace: a product runs over one factor's nonzero
 coefficients, a square over about half their pairs.  Products and residues
 alike reduce by one remainder routine, which in a quotient field first
-folds x**u onto x**(u - R) by x**R = 1.  An ExtensionField proves its own
+folds x**u onto x**(u - R) by x**R = 1; a product by x (times_x) is one of
+its division rows.  An ExtensionField proves its own
 modulus irreducible with its own products: by its period in a quotient
 field, by Ben-Or's test otherwise.
 
@@ -161,6 +162,19 @@ class ExtensionField:
                 for v, m in tail:
                     rem[k + v] = sub(rem[k + v], mul(c, m))
         return tuple(rem[:t])
+
+    def times_x(self, a: tuple) -> tuple:
+        """a * x with no product of elements: a's coefficients move up one place, and one of
+        _reduce's division rows takes off the top one."""
+        zero, sub, mul, ones, tail = self._reduction
+        rem = [zero, *a]
+        c = rem.pop()
+        if c != zero:
+            for v in ones:
+                rem[v] = sub(rem[v], c)
+            for v, m in tail:
+                rem[v] = sub(rem[v], mul(c, m))
+        return tuple(rem)
 
     def from_poly(self, coeffs) -> tuple:
         """Reduce a coefficient sequence over the base field to an element."""
@@ -494,6 +508,11 @@ class QuotientFieldCtx:
     (x**R - 1) * sum(x**(k*R), k < n/R): the period quotient (x**R - 1) / P, of degree
     R - t < R, repeated every R places.  `cofactor_inv` = C**-1 = x * P' / n mod P, since
     n * x**(n-1) = P' * C mod P (d/dx of x**n - 1 = P * C) and x**n = 1; one product checks.
+
+    `x_powers[k]` is x**k mod P for k < R, which by the shift law is generator**(k *
+    x_exponent), the residue a rotation counter k stands for.  Each comes from the last by
+    times_x, a shift of its coefficients and one division row; x**1 must be x_class and
+    x * x**(R-1) must be one (else OrderMismatchError), two comparisons.
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
@@ -507,6 +526,13 @@ class QuotientFieldCtx:
             self.field = ExtensionField(base_field, tuple(modulus), period=r)
         except ValueError as refused:
             raise OrderMismatchError(f"modulus is no irreducible factor of Phi_{r}") from refused
+        self.x_class = self.field.from_poly(polys.x(base_field))
+        powers = [self.field.one]
+        for _ in range(r):
+            powers.append(self.field.times_x(powers[-1]))
+        if powers[1] != self.x_class or powers[r] != self.field.one:
+            raise OrderMismatchError(f"the powers of x do not close after x**{r}")
+        self.x_powers = tuple(powers[:r])
         gap = (base_field.zero,) * (self.field.degree - 1)  # deg period_quot = R - t
         self.cofactor = ((period_quot + gap) * self.rep_gcd)[: n - self.field.degree + 1]
         p, n_inv, from_index = base_field.p, pow(n, -1, base_field.p), base_field.from_index
@@ -515,7 +541,6 @@ class QuotientFieldCtx:
         if self.field.mul(self.field.from_poly(self.cofactor), self.cofactor_inv) != self.field.one:
             raise InternalError("x * P' / n does not invert the CRT cofactor")
         self.group_order = self.field.order - 1
-        self.x_class = self.field.from_poly(polys.x(base_field))
         primitive, tree = find_primitive(self.field)
         self._log_tree = _with_tables(self.field, tree)
         # x_class = primitive**L has order group_order / gcd(L, group_order)

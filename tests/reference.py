@@ -33,6 +33,12 @@
 - units_by_search finds the lexicographically least diagonal unit tuple
   by depth-first backtracking, exponential when none exists;
   AutomorphismTable calibrates by one backward reachability pass instead.
+- necklaces_by_filter keeps every word of [0, q)**n that is its own least
+  rotation, and functions_by_filter every function whose weighted sum is
+  0; oracle.enum_necklaces and enum_functions generate those lists.
+- residue_by_power raises a quotient's generator to a whole log;
+  unmap_function takes x**turns from x_powers and raises the generator
+  only to the offset.
 
 Tests compare each pair.
 """
@@ -47,6 +53,7 @@ from necklacemap.decomposition import (
     CosetTable,
     _root_of_unity,
     cyclotomic_cosets,
+    orbit_canonical,
     shift,
 )
 from necklacemap.errors import (
@@ -125,6 +132,21 @@ def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
                     if bk.offset != b0.offset:
                         return False
     return True
+
+
+def necklaces_by_filter(n: int, q: int) -> list[tuple[int, ...]]:
+    """Every word of [0, q)**n that is its own least rotation, in lexicographic order."""
+    return [word for word in product(range(q), repeat=n) if word == orbit_canonical(word)]
+
+
+def functions_by_filter(n: int, q: int) -> list[tuple[int, ...]]:
+    """Every function Z_n -> [0, q) of weighted sum 0 mod n, in lexicographic order."""
+    return [f for f in product(range(q), repeat=n) if weighted_sum(n, f) == 0]
+
+
+def residue_by_power(qctx: QuotientFieldCtx, log: int):
+    """generator**log in the quotient field, by one whole power."""
+    return qctx.field.pow(qctx.generator, log)
 
 
 @lru_cache(maxsize=8)

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -26,6 +27,7 @@ from necklacemap.errors import (
     RangeViolationError,
     UniquenessViolationError,
 )
+from necklacemap.fields import ExtensionField
 from necklacemap.numtheory import gcd_of_set
 from necklacemap.oracle import enum_functions, enum_necklaces
 from reference import map_necklace_by_trial
@@ -234,6 +236,37 @@ class TestUnmap:
             with pytest.raises(ValueError, match=message) as excinfo:
                 fn(t, entries)
             assert excinfo.type is ValueError
+
+    def test_generator_is_raised_only_to_the_offset(self, monkeypatch, tables_for):
+        # by the shift law, x_powers gives x**turns and the generator takes the offset
+        # alone, below x_exponent; where x_exponent = 1 unmap takes no power at all
+        ladder = [(5, 6), (7, 10), (13, 6), (63, 2), (11, 12), (33, 4), (17, 3)]
+        rng = random.Random(22)
+        cases = []
+        for n, q in ladder:
+            t = tables_for(n, q)
+            for _ in range(30):
+                word = tuple(rng.randrange(q) for _ in range(n))
+                cases.append((t, map_necklace(t, word), orbit_canonical(word)))
+        exponents = {
+            id(qctx.field): qctx.x_exponent
+            for n, q in ladder
+            for block in tables_for(n, q).blocks
+            for qctx in block.quotients
+        }
+        powers = []
+        pow_ = ExtensionField.pow
+        monkeypatch.setattr(
+            ExtensionField, "pow", lambda f, a, e: powers.append((id(f), e)) or pow_(f, a, e)
+        )
+        for t, image, word in cases:
+            assert unmap_function(t, image) == word
+        assert powers and all(0 < e < exponents[f] for f, e in powers), powers
+        once = [
+            id(qctx.field) for qctx in tables_for(63, 2).blocks[0].quotients if qctx.x_exponent == 1
+        ]
+        # the six factors of Phi_63, the two cubics of Phi_7, Phi_3 and x - 1
+        assert len(once) == 10 and not {f for f, _ in powers} & set(once)
 
 
 class TestRoundTrips:

@@ -30,7 +30,10 @@ from reference import (
     generator_by_walk,
     is_irreducible_by_trial,
     primitive_by_scan,
+    residue_by_power,
 )
+
+INVERSE_LADDER = [(5, 6), (7, 10), (13, 6), (63, 2), (11, 12), (33, 4), (17, 3)]
 
 
 def small_prime_powers(limit):
@@ -541,6 +544,34 @@ class TestQuotientCtx:
                     for x, y in [(a, b), (a, a)]:
                         product = polys.mul(base, polys.trim(base, x), polys.trim(base, y))
                         assert f.mul(x, y) == reference(product), (qctx, x, y)
+
+    @pytest.mark.parametrize("n,q", INVERSE_LADDER + [(35, 2), (5, 59049), (5, 2097152)])
+    def test_powers_of_x_follow_the_shift_law(self, n, q, tables_for):
+        # x_powers[k] is x**k, and x**turn * g**offset is g**(turn * x_exponent + offset)
+        for block in tables_for(n, q).blocks:
+            for qctx in block.quotients:
+                f, e, r = qctx.field, qctx.x_exponent, qctx.rotation_order
+                assert len(qctx.x_powers) == r
+                assert all(qctx.x_powers[k] == f.pow(qctx.x_class, k) for k in range(r))
+                for offset in sorted({0, 1 % e, e - 1}):
+                    g_offset = f.pow(qctx.generator, offset)
+                    for turn in range(r):
+                        assert f.mul(qctx.x_powers[turn], g_offset) == residue_by_power(
+                            qctx, turn * e + offset), (n, q, qctx.rep, turn, offset)
+
+    def test_powers_of_x_must_close(self, monkeypatch):
+        # x**4 + x + 1 over F2 has degree ord_5(2) = 4 and no root 1, so the period
+        # certificate takes it for R = 5; x has order 15 there, so with the division
+        # made to pass, x**5 != 1 refuses it before any log is taken
+        divmod_, x5_minus_1 = polys.divmod_, xn_minus_1(PrimeField(2), 5)
+
+        def passed(f, a, b):
+            quot, rem = divmod_(f, a, b)
+            return quot, () if a == x5_minus_1 else rem
+
+        monkeypatch.setattr(polys, "divmod_", passed)
+        with pytest.raises(OrderMismatchError, match="powers of x do not close"):
+            QuotientFieldCtx(PrimeField(2), (1, 1, 0, 0, 1), n=5, rep=1)
 
     def test_order_mismatch_guard(self):
         # x+1 over F5 puts -1 in place of x, order 2, but rep=0 demands order 1

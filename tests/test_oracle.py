@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import product
 
@@ -12,7 +13,14 @@ from necklacemap.oracle import (
     verify_bijection,
     verify_shift_lemma,
 )
-from reference import shift_lemma_holds_all_k
+from reference import functions_by_filter, necklaces_by_filter, shift_lemma_holds_all_k
+
+# coprime (n, q), n >= 2, with n * q**n <= 2 * 10**4; n = 1 only for q < 200, as
+# the filters would read 2 * 10**8 one-letter words for every q up to 2 * 10**4
+GENERATED_PAIRS = [(1, q) for q in range(1, 200)] + [
+    (n, q) for n in range(2, 11) for q in range(2, 101)
+    if n * q**n <= 2 * 10**4 and math.gcd(n, q) == 1
+]
 
 
 class TestEnumNecklaces:
@@ -24,6 +32,10 @@ class TestEnumNecklaces:
 
     def test_3_10_count(self):
         assert len(enum_necklaces(3, 10)) == 340
+
+    def test_generation_matches_the_filter(self):
+        for n, q in GENERATED_PAIRS:
+            assert enum_necklaces(n, q) == necklaces_by_filter(n, q), (n, q)
 
     def test_envelope(self):
         with pytest.raises(EnvelopeExceededError):
@@ -43,6 +55,10 @@ class TestEnumFunctions:
 
     def test_3_10_count(self):
         assert len(enum_functions(3, 10)) == 340
+
+    def test_generation_matches_the_filter(self):
+        for n, q in GENERATED_PAIRS:
+            assert enum_functions(n, q) == functions_by_filter(n, q), (n, q)
 
     def test_envelope(self):
         with pytest.raises(EnvelopeExceededError):
