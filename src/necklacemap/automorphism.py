@@ -82,22 +82,14 @@ class AutomorphismTable:
 
     def for_support(self, support) -> UnitAutomorphism:
         key = self.normalize(support)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._assert_valid(hit)
-            return hit
-        solved = self._solve(key)
-        self._assert_valid(solved)
-        self._memo[key] = solved
-        return solved
+        if key not in self._memo:  # validated once, when stored; a memo hit is not re-checked
+            self._memo[key] = self._assert_valid(self._solve(key))
+        return self._memo[key]
 
     def _congruence_data(self, key: Support):
         params = self._tables.params
         n = params.n
-        pairs = []
-        reps = []
-        moduli = []
-        coeffs = []
+        pairs, reps, moduli, coeffs = [], [], [], []
         for i, idxs in enumerate(key):
             w = params.weights[i]
             for j in idxs:
@@ -148,7 +140,7 @@ class AutomorphismTable:
             step=step,
         )
 
-    def _assert_valid(self, aut: UnitAutomorphism) -> None:
+    def _assert_valid(self, aut: UnitAutomorphism) -> UnitAutomorphism:
         n = self._tables.params.n
         _, moduli, coeffs, step = self._congruence_data(aut.support)
         if (moduli, coeffs, step) != (aut.moduli, aut.coeffs, aut.step):
@@ -163,3 +155,4 @@ class AutomorphismTable:
             acc = (acc + c * u) % n
         if acc != step % n:
             raise InternalError("stored unit tuple no longer satisfies its congruence")
+        return aut

@@ -44,8 +44,7 @@ def split_log(qctx: QuotientFieldCtx, log: int) -> tuple[int, int]:
 def profile(tables: CosetTable, word) -> ResidueProfile:
     """Support and split discrete logs for one word."""
     residues = crt_split(tables, word)
-    support = []
-    entries = {}
+    support, entries = [], {}
     for i, (block, group) in enumerate(zip(tables.blocks, residues)):
         live = []
         for j, (qctx, residue) in enumerate(zip(block.quotients, group)):
@@ -59,12 +58,10 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
 
 
 def split_support(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
-    """The support of profile(tables, word) from the CRT split alone: no log."""
-    return tuple(
-        tuple(j for j, (qctx, residue) in enumerate(zip(block.quotients, group))
-              if residue != qctx.field.zero)
-        for block, group in zip(tables.blocks, crt_split(tables, word))
-    )
+    """The support of profile(tables, word), with no log and no residue built: each
+    quotient's slots of crt_split's packed sum, reduced mod p, tested for zero."""
+    word = tables.check_word(word)
+    return tuple(block.split.support(word) for block in tables.blocks)
 
 
 def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueProfile:

@@ -39,6 +39,10 @@
 - residue_by_power raises a quotient's generator to a whole log;
   unmap_function takes x**turns from x_powers and raises the generator
   only to the offset.
+- split_by_division reduces the word's polynomial modulo every quotient's
+  modulus by long division, and support_by_division reads its nonzero
+  residues; crt_split and split_support sum one packed table entry per
+  letter instead.
 
 Tests compare each pair.
 """
@@ -142,6 +146,24 @@ def necklaces_by_filter(n: int, q: int) -> list[tuple[int, ...]]:
 def functions_by_filter(n: int, q: int) -> list[tuple[int, ...]]:
     """Every function Z_n -> [0, q) of weighted sum 0 mod n, in lexicographic order."""
     return [f for f in product(range(q), repeat=n) if weighted_sum(n, f) == 0]
+
+
+def split_by_division(tables: CosetTable, word) -> tuple[tuple, ...]:
+    """Residue of the word in every quotient field, each by one long division."""
+    out = []
+    for block in tables.blocks:
+        coeffs = [block.field.from_index(c % block.factor.value) for c in word]
+        out.append(tuple(qctx.field.from_poly(coeffs) for qctx in block.quotients))
+    return tuple(out)
+
+
+def support_by_division(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
+    """Indices of the quotients where split_by_division's residue is nonzero."""
+    return tuple(
+        tuple(j for j, (qctx, residue) in enumerate(zip(block.quotients, group))
+              if residue != qctx.field.zero)
+        for block, group in zip(tables.blocks, split_by_division(tables, word))
+    )
 
 
 def residue_by_power(qctx: QuotientFieldCtx, log: int):

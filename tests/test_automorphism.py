@@ -69,6 +69,31 @@ class TestSolve:
         a2 = t.automorphisms.for_support(((1,), (1,)))
         assert a1 is a2
 
+    def test_stored_entries_are_validated_once(self, monkeypatch):
+        # a repeated support reads the memo and rebuilds no congruence data,
+        # while a freshly solved entry is still checked before it is stored
+        auts = build_tables(RingParams.create(3, 10)).automorphisms
+        built = []
+        data = AutomorphismTable._congruence_data
+
+        def counted(self, key):
+            built.append(key)
+            return data(self, key)
+
+        monkeypatch.setattr(AutomorphismTable, "_congruence_data", counted)
+        first = auts.for_support(((1,), (1,)))
+        assert built == [((1,), (1,))] * 2  # one to solve, one to validate
+        for _ in range(3):
+            assert auts.for_support([[1], [1]]) is first
+        assert len(built) == 2
+        solve = AutomorphismTable._solve
+        monkeypatch.setattr(
+            AutomorphismTable, "_solve", lambda self, key: replace(solve(self, key), step=7)
+        )
+        with pytest.raises(InternalError):
+            auts.for_support(((0, 1), (1,)))
+        assert ((0, 1), (1,)) not in auts._memo and len(built) == 4
+
     def test_drifted_step_is_caught(self, tables_for):
         t = tables_for(3, 10)
         aut = t.automorphisms.for_support(((1,), (1,)))

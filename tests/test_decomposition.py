@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from necklacemap import decomposition, fields, polys
 from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import (
+    SplitTable,
     build_tables,
     crt_combine,
     crt_split,
@@ -18,16 +19,24 @@ from necklacemap.decomposition import (
     orbit_canonical,
     shift,
 )
+from necklacemap.dlog import split_support
 from necklacemap.errors import InternalError, NotCoprimeError
 from necklacemap.fields import (
     ExtensionField,
     PrimeField,
     QuotientFieldCtx,
+    TableField,
     build_field,
     xn_minus_1,
 )
 from necklacemap.numtheory import RingParams, euler_phi, factorize
-from reference import element_order, factor_by_splitting_field, poly_add
+from reference import (
+    element_order,
+    factor_by_splitting_field,
+    poly_add,
+    split_by_division,
+    support_by_division,
+)
 from test_fields import golden_instances
 
 
@@ -480,6 +489,54 @@ class TestCrt:
             crt_combine(t, residues[:1])
         with pytest.raises(ValueError):
             crt_combine(t, (residues[0], residues[1][:1]))
+
+
+# (n, q) -> per factor (color tables?, slot bytes, F_p digits per base coefficient)
+SPLIT_KINDS = {
+    (63, 2): [(True, 1, 1)],  # p = 2: entries XOR
+    (91, 3): [(True, 1, 1)],  # odd p, 91 * 2 < 256
+    (13, 6): [(True, 1, 1), (True, 1, 1)],
+    (43, 7): [(True, 2, 1)],  # 43 * 6 = 258
+    (11, 12): [(True, 1, 2), (True, 1, 1)],  # table base GF(4)
+    (33, 4): [(True, 1, 2)],
+    (5, 59049): [(False, 1, 10)],  # table base GF(3**10), one row per digit
+    (5, 2097152): [(False, 1, 21)],  # tuple base GF(2**21)
+    (7, 1048583): [(False, 6, 1)],  # p > 2**20: 7 * (p - 1)**2 needs 6 bytes
+}
+
+
+class TestPackedSplit:
+    @pytest.mark.parametrize("n,q", [(5, 6), (5, 4), (9, 2), (3, 10), (7, 4)])
+    def test_every_word_matches_division(self, tables_for, n, q):
+        t = tables_for(n, q)
+        for word in product(range(q), repeat=n):
+            assert crt_split(t, word) == split_by_division(t, word), word
+            assert split_support(t, word) == support_by_division(t, word), word
+
+    @pytest.mark.parametrize("n,q", list(SPLIT_KINDS))
+    def test_seeded_words_match_division(self, tables_for, n, q):
+        t = tables_for(n, q)
+        kinds = [(b.split.by_color, b.split.w, b.split.t) for b in t.blocks]
+        assert kinds == SPLIT_KINDS[(n, q)]
+        rng = random.Random(100 * n + q)
+        words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(25)]
+        for word in words + [(0,) * n, (q - 1,) * n, (1,) + (0,) * (n - 1)]:
+            assert crt_split(t, word) == split_by_division(t, word), word
+            assert split_support(t, word) == support_by_division(t, word), word
+
+    def test_tables_take_no_field_products(self, tables_for, monkeypatch):
+        # the rows come from the quotients' x_powers by int arithmetic alone
+        built = {key: tables_for(*key) for key in SPLIT_KINDS}
+
+        def refuse(*args):
+            raise AssertionError("a split table took a field product")
+
+        for owner, name in [(PrimeField, "mul"), (PrimeField, "sub"), (ExtensionField, "mul"),
+                            (TableField, "mul")]:
+            monkeypatch.setattr(owner, name, refuse)
+        for (n, _), t in built.items():
+            for block in t.blocks:
+                assert SplitTable(block.field, block.quotients, n).rows == block.split.rows
 
 
 class TestShift:
