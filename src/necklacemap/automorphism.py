@@ -82,14 +82,21 @@ class AutomorphismTable:
 
     def for_support(self, support) -> UnitAutomorphism:
         key = self.normalize(support)
-        if key not in self._memo:  # validated once, when stored; a memo hit is not re-checked
-            self._memo[key] = self._assert_valid(self._solve(key))
-        return self._memo[key]
+        hit = self._memo.get(key)
+        if hit is not None:  # validated once, when it was stored
+            return hit
+        solved = self._solve(key)
+        self._assert_valid(solved)
+        self._memo[key] = solved
+        return solved
 
     def _congruence_data(self, key: Support):
         params = self._tables.params
         n = params.n
-        pairs, reps, moduli, coeffs = [], [], [], []
+        pairs = []
+        reps = []
+        moduli = []
+        coeffs = []
         for i, idxs in enumerate(key):
             w = params.weights[i]
             for j in idxs:
@@ -140,7 +147,7 @@ class AutomorphismTable:
             step=step,
         )
 
-    def _assert_valid(self, aut: UnitAutomorphism) -> UnitAutomorphism:
+    def _assert_valid(self, aut: UnitAutomorphism) -> None:
         n = self._tables.params.n
         _, moduli, coeffs, step = self._congruence_data(aut.support)
         if (moduli, coeffs, step) != (aut.moduli, aut.coeffs, aut.step):
@@ -155,4 +162,3 @@ class AutomorphismTable:
             acc = (acc + c * u) % n
         if acc != step % n:
             raise InternalError("stored unit tuple no longer satisfies its congruence")
-        return aut

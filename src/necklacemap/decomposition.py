@@ -12,8 +12,9 @@ Garner's cofactor form (IRE Trans. Electronic Computers EC-8(2), 1959).
 Each quotient context is the one record of its factor P_j: F[x]/P_j, and the
 cofactor (x**n - 1) / P_j and its inverse, from the division proving P_j | x**R - 1.
 Only set-up uses the generic polys module.  Per word, a split is one packed int sum per
-factor over a SplitTable filled from the quotients' x_powers (no division), and a combine
-runs on the quotient fields' products.
+factor over a SplitTable filled from the quotients' x_powers (one long division per
+quotient where the table would be too large), and a combine runs on the quotient fields'
+products.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ import functools
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 from . import polys
 from .automorphism import AutomorphismTable
 from .errors import InternalError, NotCoprimeError
 from .fields import (
+    ExtensionField,
     Field,
     QuotientFieldCtx,
     build_field,
@@ -36,6 +39,8 @@ from .fields import (
     xn_minus_1,
 )
 from .numtheory import PrimePowerFactor, RingParams, euler_phi
+
+SPLIT_TABLE_BYTES = 1 << 20  # the most that one factor's split rows may hold
 
 
 @dataclass(frozen=True)
@@ -59,14 +64,27 @@ def cyclotomic_cosets(n: int, qi: int) -> list[CyclotomicCoset]:
         raise ValueError(f"need positive n, got {n}")
     if math.gcd(n, qi) != 1:
         raise NotCoprimeError(f"{qi} is not a unit modulo {n}")
-    seen, out = set(), []
+    seen = bytearray(n)
+    out = []
     for start in range(n):
-        if start not in seen:
-            orbit = [start]
-            while (v := orbit[-1] * qi % n) != start:
-                orbit.append(v)
-            seen.update(orbit)
-            out.append(CyclotomicCoset(start, len(orbit), tuple(orbit), tuple(sorted(orbit))))
+        if seen[start]:
+            continue
+        orbit = []
+        v = start
+        while True:
+            orbit.append(v)
+            seen[v] = 1
+            v = v * qi % n
+            if v == start:
+                break
+        out.append(
+            CyclotomicCoset(
+                rep=start,
+                size=len(orbit),
+                orbit=tuple(orbit),
+                members=tuple(sorted(orbit)),
+            )
+        )
     return out
 
 
@@ -143,75 +161,84 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
 
 
 class SplitTable:
-    """One factor's split table (see crt_split), filled from the quotients' x_powers by int
-    arithmetic, with no field product.  rows[v] packs the F_p digits of c * x**v mod every
-    P_j (quotient after quotient, t per base coefficient, one w-byte slot each) for every
-    color c, or for c = alpha**k, k < t.  The build packs all n positions in one int."""
+    """One factor's split (see crt_split).  rows[v][c] packs the F_p digits of c * x**v mod
+    every P_j (quotient after quotient, t per base coefficient, one w-byte slot each), filled
+    from the quotients' x_powers by int arithmetic, with no field product.  Where q_i > 256,
+    the base keeps tuples (past TABLE_LIMIT) or the rows would pass SPLIT_TABLE_BYTES
+    (q_i * n**2 * t * w bytes), rows is None and a word is reduced by one long division
+    per quotient instead."""
 
     def __init__(self, field: Field, quotients, n: int):
+        self.field, self.quotients, self.n = field, quotients, n
         p, t, qi = self.p, self.t, self.qi = field.p, field.degree, field.order
-        self.by_color = qi <= 256
-        bound = n * t * (p - 1) ** 2 if not self.by_color else 2 if p == 2 else max(n, 2) * (p - 1)
-        self.w = w = -(-bound.bit_length() // 8)
-        self.size, self._mod = n * t * w, (bytes(range(min(p, 256))) * 256)[:256]
-        ends = list(itertools.accumulate(q.field.degree * t for q in quotients))
-        self.spans = tuple(map(slice, [0] + ends, ends))  # each quotient's digit slots
-        self.from_index, self.weights = field.from_index, [p**k for k in range(t)]
-        coeffs = [None] * n * n  # position-major: x**v's coefficients in every quotient
+        ends = list(itertools.accumulate(q.field.degree for q in quotients))
+        self.spans = tuple(map(slice, [0] + ends, ends))  # each quotient's coefficients
+        # a slot's largest value: a word's sum of n digits (p = 2 XORs them) or the build's of
+        # two; its alpha steps reach p * (p - 1) < 256, as t > 1 and q_i <= 256 leave p <= 16
+        bound, self.w = 2 if p == 2 else max(n, 2) * (p - 1), 1
+        while bound >> 8 * self.w:
+            self.w *= 2
+        w, self.size, self.rows = self.w, n * t * self.w, None
+        if qi > 256 or isinstance(field, ExtensionField) or qi * n * self.size > SPLIT_TABLE_BYTES:
+            return
+        self._code, self._mod = "BHIQ"[w.bit_length() - 1], (bytes(range(p)) * 256)[:256]
+        coeffs = [0] * n * n  # position-major: x**v's coefficients in every quotient
         for span, q in zip(self.spans, quotients):
             col, d = list(itertools.chain(*q.x_powers)) * (n // q.rotation_order), q.field.degree
             for u in range(d):
-                coeffs[span.start // t + u :: n] = col[u::d]
-        if t > 1:
-            coeffs = [c // m % p for c in map(field.to_index, coeffs) for m in self.weights]
-        basis, bits = [self._pack(coeffs)], 8 * w
+                coeffs[span.start + u :: n] = col[u::d]
+        digits = [c // p**k % p for c in coeffs for k in range(t)] if t > 1 else coeffs
+        basis, bits = [self._pack(digits)], 8 * w
         # alpha * d: each coefficient's top digit moves to its chunk's foot, times -P(0..t-1)
         foot = int.from_bytes((b"\xff" * w + bytes(w * (t - 1))) * n * n, "little")
         fold = sum(-m % p << bits * k for k, m in enumerate(getattr(field, "modulus", ())[:t]))
         for _ in range(1, t):
             d = basis[-1]
             top = d >> bits * (t - 1) & foot
-            basis.append(self._pack(self._slots((d << bits) - (top << bits * t) + top * fold, n)))
-        if self.by_color:  # color c from c - p**k, p**k its top digit's place
-            colors, k = [0], 0
-            for c in range(1, qi):
-                k += c == p ** (k + 1)
-                colors.append(self._pack(self._slots(colors[c - p**k] + basis[k], n)))
-            basis = colors
-        blobs, cut = [e.to_bytes(n * self.size, "little") for e in basis], self.size
-        self.rows = [[int.from_bytes(b[v * cut : v * cut + cut], "little") for b in blobs]
-                     for v in range(n)]
+            basis.append(self._pack(self._digits((d << bits) - (top << bits * t) + top * fold, n)))
+        colors, k = [0], 0  # color c from c - p**k, p**k its top digit's place
+        for c in range(1, qi):
+            k += c == p ** (k + 1)
+            colors.append(self._pack(self._digits(colors[c - p**k] + basis[k], n)))
+        self.rows = [[] for _ in range(n)]
+        for color in colors:
+            blob = color.to_bytes(n * self.size, "little")
+            for v, row in enumerate(self.rows):
+                row.append(int.from_bytes(blob[v * self.size : (v + 1) * self.size], "little"))
 
     def _pack(self, digits) -> int:
-        w = self.w
-        packed = bytes(digits) if w == 1 else b"".join(d.to_bytes(w, "little") for d in digits)
-        return int.from_bytes(packed, "little")
+        return int.from_bytes(array(self._code, iter(digits)), "little")
 
-    def _slots(self, total: int, positions: int = 1):
-        """The slots of a packed sum, each reduced mod p: bytes for w = 1, else a list."""
-        raw, w = total.to_bytes(positions * self.size, "little"), self.w
-        return raw.translate(self._mod) if w == 1 else [
-            int.from_bytes(raw[i : i + w], "little") % self.p for i in range(0, len(raw), w)]
+    def _digits(self, total: int, positions: int = 1) -> bytes:
+        """The slots of a packed sum, each reduced mod p, one byte each."""
+        raw = total.to_bytes(positions * self.size, "little")
+        if self.w == 1:
+            return raw.translate(self._mod)
+        return bytes(map(self.p.__rmod__, array(self._code, raw)))
 
-    def _sum(self, word):
-        """A color's k-th F_p digit is c // p**k % p, also before c is reduced mod q_i."""
-        if self.by_color:
-            picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
-            return self._slots(functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks))
-        p, weights = self.p, self.weights
-        return self._slots(sum(c // m % p * e for row, c in zip(self.rows, word)
-                               for e, m in zip(row, weights)))
+    def _indices(self, word) -> bytes:
+        """The index of each coefficient of the word's residues, one byte each: summed times
+        p**k, the digit planes carry into no neighbour, as every index is below q_i <= 256."""
+        picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
+        digits = self._digits(functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks))
+        if self.t == 1:
+            return digits
+        planes = (int.from_bytes(digits[k :: self.t], "little") * self.p**k for k in range(self.t))
+        return sum(planes).to_bytes(self.n, "little")
 
     def residues(self, word) -> tuple:
-        slots, t, weights = self._sum(word), self.t, self.weights
-        if t == 1:
-            return tuple(map(tuple, map(slots.__getitem__, self.spans)))
-        return tuple(tuple(self.from_index(sum(map(operator.mul, slots[i : i + t], weights)))
-                           for i in range(s.start, s.stop, t)) for s in self.spans)
+        if self.rows is None:
+            coeffs = [self.field.from_index(c % self.qi) for c in word]
+            return tuple(q.field.from_poly(coeffs) for q in self.quotients)
+        indices = self._indices(word)  # a base element of a field this small is its index
+        return tuple(tuple(indices[span]) for span in self.spans)
 
     def support(self, word) -> tuple[int, ...]:
-        slots = self._sum(word)
-        return tuple(j for j, span in enumerate(self.spans) if any(slots[span]))
+        if self.rows is None:
+            pairs = enumerate(zip(self.quotients, self.residues(word)))
+            return tuple(j for j, (q, residue) in pairs if residue != q.field.zero)
+        indices = self._indices(word)
+        return tuple(j for j, span in enumerate(self.spans) if any(indices[span]))
 
 
 @dataclass(frozen=True)
@@ -230,11 +257,13 @@ class FactorBlock:
 
 
 class CosetTable:
-    """Per-factor coset data plus both CRT directions, precomputed (the split at its first
-    use): quotient F[x]/P_j holds C_j = (x**n - 1) / P_j and h_j = C_j**-1 in F[x]/P_j."""
+    """Per-factor coset data plus both CRT directions, fully precomputed: quotient
+    F[x]/P_j holds C_j = (x**n - 1) / P_j and h_j = C_j**-1 in F[x]/P_j."""
 
     def __init__(self, params: RingParams):
-        self.params, n, blocks = params, params.n, []
+        self.params = params
+        n = params.n
+        blocks = []
         for factor in params.factors:
             field = build_field(factor.p, factor.t)
             cosets = tuple(cyclotomic_cosets(n, factor.value))
@@ -242,10 +271,17 @@ class CosetTable:
             quotients = tuple(QuotientFieldCtx(field, poly, n, c.rep) for c, poly in pairs)
             blocks.append(FactorBlock(factor, field, cosets, quotients))
         self.blocks: tuple[FactorBlock, ...] = tuple(blocks)
-        q = params.q  # integer CRT multipliers: color_basis[i] = 1 mod q_i, 0 mod the others
-        self.color_basis = tuple(q // f.value * pow(q // f.value, -1, f.value) % q
-                                 for f in params.factors)
+        self.color_basis = self._color_basis(params)
         self.automorphisms = AutomorphismTable(self)
+
+    @staticmethod
+    def _color_basis(params: RingParams) -> tuple[int, ...]:
+        """Integer CRT multipliers: basis[i] = 1 mod q_i, 0 mod the others."""
+        out = []
+        for f in params.factors:
+            cof = params.q // f.value
+            out.append(cof * pow(cof, -1, f.value) % params.q)
+        return tuple(out)
 
     def check_word(self, word, noun: str = "word", entry: str = "color") -> tuple[int, ...]:
         """`word` as a tuple of n ints in [0, q); the ValueError names them
@@ -271,10 +307,10 @@ def build_tables(params: RingParams) -> CosetTable:
 
 def crt_split(tables: CosetTable, word) -> tuple[tuple, ...]:
     """Residue of the word in every quotient field, blockwise: per factor, one int sums n
-    SplitTable rows, one per letter, then each slot is reduced mod p (a bytes.translate for
-    byte slots) and cut into the quotients' coefficients, through from_index when t > 1.
-    With a row per color (q_i <= 256) an F_p digit takes a byte while max(n, 2) * (p - 1)
-    < 256, at any n for p = 2 (rows XOR); per F_p digit of a color, n * t * (p - 1)**2."""
+    SplitTable rows, one per letter, then each F_p digit slot is reduced mod p (a
+    bytes.translate for byte slots) and the digit planes are summed into the base
+    coefficients' indices.  A slot takes a byte while max(n, 2) * (p - 1) < 256, at any n
+    for p = 2 (rows XOR), else 2, 4 or 8.  A factor with no table divides instead."""
     word = tables.check_word(word)
     return tuple(block.split.residues(word) for block in tables.blocks)
 

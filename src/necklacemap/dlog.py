@@ -44,7 +44,8 @@ def split_log(qctx: QuotientFieldCtx, log: int) -> tuple[int, int]:
 def profile(tables: CosetTable, word) -> ResidueProfile:
     """Support and split discrete logs for one word."""
     residues = crt_split(tables, word)
-    support, entries = [], {}
+    support = []
+    entries = {}
     for i, (block, group) in enumerate(zip(tables.blocks, residues)):
         live = []
         for j, (qctx, residue) in enumerate(zip(block.quotients, group)):
@@ -58,8 +59,8 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
 
 
 def split_support(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
-    """The support of profile(tables, word), with no log and no residue built: each
-    quotient's slots of crt_split's packed sum, reduced mod p, tested for zero."""
+    """The support of profile(tables, word), with no log: each quotient's coefficients in
+    crt_split's packed sum tested for zero, or its residue where the factor divides."""
     word = tables.check_word(word)
     return tuple(block.split.support(word) for block in tables.blocks)
 

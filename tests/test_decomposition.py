@@ -491,17 +491,17 @@ class TestCrt:
             crt_combine(t, (residues[0], residues[1][:1]))
 
 
-# (n, q) -> per factor (color tables?, slot bytes, F_p digits per base coefficient)
+# (n, q) -> per factor (slot bytes, F_p digits per base coefficient), None where it divides
 SPLIT_KINDS = {
-    (63, 2): [(True, 1, 1)],  # p = 2: entries XOR
-    (91, 3): [(True, 1, 1)],  # odd p, 91 * 2 < 256
-    (13, 6): [(True, 1, 1), (True, 1, 1)],
-    (43, 7): [(True, 2, 1)],  # 43 * 6 = 258
-    (11, 12): [(True, 1, 2), (True, 1, 1)],  # table base GF(4)
-    (33, 4): [(True, 1, 2)],
-    (5, 59049): [(False, 1, 10)],  # table base GF(3**10), one row per digit
-    (5, 2097152): [(False, 1, 21)],  # tuple base GF(2**21)
-    (7, 1048583): [(False, 6, 1)],  # p > 2**20: 7 * (p - 1)**2 needs 6 bytes
+    (63, 2): [(1, 1)],  # p = 2: entries XOR
+    (91, 3): [(1, 1)],  # odd p, 91 * 2 < 256
+    (13, 6): [(1, 1), (1, 1)],
+    (43, 7): [(2, 1)],  # 43 * 6 = 258
+    (11, 12): [(1, 2), (1, 1)],  # table base GF(4)
+    (33, 4): [(1, 2)],
+    (5, 59049): [None],  # table base GF(3**10): q_i > 256
+    (5, 2097152): [None],  # tuple base GF(2**21)
+    (7, 1048583): [None],  # p > 2**20
 }
 
 
@@ -516,7 +516,7 @@ class TestPackedSplit:
     @pytest.mark.parametrize("n,q", list(SPLIT_KINDS))
     def test_seeded_words_match_division(self, tables_for, n, q):
         t = tables_for(n, q)
-        kinds = [(b.split.by_color, b.split.w, b.split.t) for b in t.blocks]
+        kinds = [b.split.rows and (b.split.w, b.split.t) for b in t.blocks]
         assert kinds == SPLIT_KINDS[(n, q)]
         rng = random.Random(100 * n + q)
         words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(25)]
@@ -537,6 +537,19 @@ class TestPackedSplit:
         for (n, _), t in built.items():
             for block in t.blocks:
                 assert SplitTable(block.field, block.quotients, n).rows == block.split.rows
+
+    def test_rows_stay_inside_their_byte_budget(self, tables_for):
+        # q_i * n**2 * t * w bytes: (255, 2) holds 130 050, while (255, 256), whose GF(256)
+        # rows would take 133 MB, and (45, 256), 4.1 MB, divide
+        for (n, q), rows in [((255, 2), 2 * 255 * 255), ((45, 256), None), ((255, 256), None)]:
+            t = tables_for(n, q)
+            split = t.blocks[0].split
+            assert split.rows is None if rows is None else split.qi * n * split.size == rows
+            word = tuple(random.Random(n).randrange(q) for _ in range(n))
+            assert crt_split(t, word) == split_by_division(t, word)
+            assert split_support(t, word) == support_by_division(t, word)
+        table = tables_for(21, 256).blocks[0].split  # 256 * 21**2 * 8 = 903 168 bytes
+        assert sum(map(len, table.rows)) == 256 * 21 and table.size == 21 * 8
 
 
 class TestShift:
