@@ -32,7 +32,7 @@ class ZeroElementError(NecklaceMapError, ValueError):
 
 
 class EnvelopeExceededError(NecklaceMapError):
-    """Requested enumeration exceeds the configured size envelope."""
+    """An enumeration past the size envelope, or a log table past BABY_TABLE_DIGITS."""
 
     exit_code = 1
 

@@ -24,17 +24,20 @@ unity, constrained generator) is pinned to the first hit in the canonical
 enumeration, which counts coefficients lexicographically from the low
 constant upward.  That keeps the whole construction reproducible.  The
 primitive element's order is proved by one walk down the Pohlig-Hellman
-tree of N = |F*|, and a quotient field's logs take that same tree.
+tree of N = |F*|; a quotient field's logs take that same tree, its tables
+filled at the first log, and its set-up reads x's log from x's powers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Union
 
 from . import polys
 from .errors import (
+    EnvelopeExceededError,
     InternalError,
     NotPrimeError,
     OrderMismatchError,
@@ -341,6 +344,7 @@ def _powers(flat: ExtensionField, g) -> list:
 
 Field = Union[PrimeField, TableField, ExtensionField]
 TABLE_LIMIT = 1 << 20  # the largest order that build_field tabulates
+BABY_TABLE_DIGITS = 1 << 22  # the most baby-table entries times F_p digits per element
 
 
 def build_field(p: int, t: int) -> Field:
@@ -494,20 +498,22 @@ class QuotientFieldCtx:
     1978) down the tree that proved the primitive, over the one factorization of
     group_order: a balanced binary tree of its prime powers p**e, with CRT joins at the
     nodes and baby-step giant-step in each p**e subgroup at the leaves, whose tables are
-    filled here; dlog scales by u**-1.  A log costs about sqrt of the largest p**e plus
-    a few exponentiations per tree level; no table spans the group.
+    filled at the first dlog (_log_tree); dlog scales by u**-1.  A log costs about sqrt of
+    the largest p**e plus a few exponentiations per tree level; no table spans the group,
+    and one past BABY_TABLE_DIGITS is refused before any is filled.
 
     Set-up proves each fact once (else OrderMismatchError): the period division that
     P | x**R - 1; ExtensionField's period certificate that P is irreducible with roots of
-    order R, which the one log, of x_class, must match.  find_primitive's walk, which
-    builds the log tree, proves that `primitive` generates; u is a unit, so the generator
-    is primitive with no proof of its own, and generator**x_exponent == x_class checks
-    the log (else InternalError).  The field has period R: x**R = 1 folds a product or
-    residue, so a dense Phi_p modulus costs a product one division row, not t - 1.  The
-    division's quotient gives the CRT `cofactor` C = (x**n - 1) / P, as x**n - 1 =
-    (x**R - 1) * sum(x**(k*R), k < n/R): the period quotient (x**R - 1) / P, of degree
-    R - t < R, repeated every R places.  `cofactor_inv` = C**-1 = x * P' / n mod P, since
-    n * x**(n-1) = P' * C mod P (d/dx of x**n - 1 = P * C) and x**n = 1; one product checks.
+    order R, so x_exponent = N/R, and _log_of_x reads x's log from x_powers with no tree.
+    find_primitive's walk, which builds the log tree, proves that `primitive` generates;
+    u is a unit, so the generator is primitive with no proof of its own, and
+    generator**x_exponent == x_class checks the log (else InternalError).  The field has
+    period R: x**R = 1 folds a product or residue, so a dense Phi_p modulus costs a
+    product one division row, not t - 1.  The division's quotient gives the CRT
+    `cofactor` C = (x**n - 1) / P, as x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R):
+    the period quotient (x**R - 1) / P, of degree R - t < R, repeated every R places.
+    `cofactor_inv` = C**-1 = x * P' / n mod P, since n * x**(n-1) = P' * C mod P (d/dx
+    of x**n - 1 = P * C) and x**n = 1; one product checks.
 
     `x_powers[k]` is x**k mod P for k < R, which by the shift law is generator**(k *
     x_exponent), the residue a rotation counter k stands for.  Each comes from the last by
@@ -541,29 +547,43 @@ class QuotientFieldCtx:
         if self.field.mul(self.field.from_poly(self.cofactor), self.cofactor_inv) != self.field.one:
             raise InternalError("x * P' / n does not invert the CRT cofactor")
         self.group_order = self.field.order - 1
-        primitive, tree = find_primitive(self.field)
-        self._log_tree = _with_tables(self.field, tree)
-        # x_class = primitive**L has order group_order / gcd(L, group_order)
-        log_x = _log_in_tree(self.field, self._log_tree, self.x_class)
-        self.x_exponent = math.gcd(log_x, self.group_order)
-        if self.x_exponent * self.rotation_order != self.group_order:
-            raise OrderMismatchError(
-                f"class of x has wrong order in quotient of degree {self.field.degree}"
-            )
-        u = log_x // self.x_exponent
-        for _ in range(self.group_order + 1):
-            if math.gcd(u, self.group_order) == 1:
-                break
-            u += self.rotation_order
-        else:
-            raise InternalError("no unit exponent reaches the class of x")  # pragma: no cover
+        primitive, self._tree = find_primitive(self.field)
+        self.x_exponent = self.group_order // self.rotation_order
+        u = self._log_of_x(primitive) // self.x_exponent  # a unit mod R: one of its lifts
+        u = next(v for v in range(u, u + self.group_order, self.rotation_order)  # is one mod N
+                 if math.gcd(v, self.group_order) == 1)
         self.generator = self.field.pow(primitive, u)
         self._unscale = pow(u, -1, self.group_order)
         if self.field.pow(self.generator, self.x_exponent) != self.x_class:
             raise InternalError("generator does not reach the class of x")
 
+    def _log_of_x(self, primitive) -> int:
+        """log(x_class) to the primitive's base by one power: h = primitive**x_exponent has
+        order R, so it is x**s for a unit s mod R, and log(x) = x_exponent * s**-1 mod N."""
+        try:  # h is missing from x_powers, or s is no unit, only if x's order is not R
+            s = self.x_powers.index(self.field.pow(primitive, self.x_exponent))
+            return self.x_exponent * pow(s, -1, self.rotation_order)
+        except ValueError:
+            raise OrderMismatchError(
+                f"class of x has wrong order in quotient of degree {self.field.degree}") from None
+
+    @functools.cached_property
+    def _log_tree(self) -> tuple:
+        """find_primitive's tree with its leaves' baby tables, filled at the first dlog."""
+        def orders(node):  # of the leaves
+            return [node[0]] if len(node) == 2 else orders(node[3]) + orders(node[4])
+        largest, f = max(orders(self._tree)), self.field
+        entries, digits = math.isqrt(largest - 1) + 1, round(math.log(f.order, f.p))
+        if entries * digits > BABY_TABLE_DIGITS:
+            raise EnvelopeExceededError(
+                f"a log in GF({f.p}^{digits}) needs a {entries}-entry baby-step table "
+                f"for its subgroup of order {largest}, past {BABY_TABLE_DIGITS} F_p digits")
+        return _with_tables(f, self._tree)
+
     def dlog(self, y) -> int:
-        """Discrete log of y base `generator`, in [0, group_order)."""
+        """Discrete log of y base `generator`, in [0, group_order); a trivial group has no table."""
+        if self.group_order == 1 and y == self.field.one:
+            return 0
         return _log_in_tree(self.field, self._log_tree, y) * self._unscale % self.group_order
 
     def __repr__(self):

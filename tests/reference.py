@@ -11,8 +11,12 @@
   those subgroups.
 - generator_by_log takes the log of x_class to the base of the canonical
   primitive by dlog_by_bsgs, and generator_by_walk walks the powers of
-  primitive**x_exponent until one is x_class; QuotientFieldCtx takes that
-  log in its Pohlig-Hellman tree instead.
+  primitive**x_exponent until one is x_class; QuotientFieldCtx reads that
+  log from x_powers instead.
+- x_data_by_tree takes the log of x_class down find_primitive's
+  Pohlig-Hellman tree, every leaf's baby table filled, and derives
+  x_exponent and the generator from it; QuotientFieldCtx takes no log at
+  set-up and fills the tables at its first dlog.
 - element_order divides |F*| by each of its primes while the power stays
   1; the library proves an order only by _prime_power_tree's walk of a
   primitive candidate, through a log, or as an integer fact about a power
@@ -51,7 +55,7 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from necklacemap import dlog, polys
+from necklacemap import dlog, fields, polys
 from necklacemap.bijection import encode_word, weighted_sum
 from necklacemap.decomposition import (
     CosetTable,
@@ -64,6 +68,7 @@ from necklacemap.errors import (
     InternalError,
     NoSolutionError,
     NotCoprimeError,
+    OrderMismatchError,
     UniquenessViolationError,
     ZeroElementError,
 )
@@ -222,6 +227,25 @@ def generator_by_log(qctx: QuotientFieldCtx):
         if math.gcd(u, n_units) == 1:
             return field.pow(primitive, u)
         u += step
+    raise InternalError("no unit exponent reaches the class of x")
+
+
+def x_data_by_tree(qctx: QuotientFieldCtx) -> tuple:
+    """(x_exponent, generator, log of x_class to the generator's base) from the log of
+    x_class down find_primitive's tree: x_exponent = gcd(log, N), which times R must be
+    N, and the generator is primitive**u for the least unit u in log / x_exponent + k*R.
+    """
+    field, n_units = qctx.field, qctx.group_order
+    primitive, tree = find_primitive(field)
+    log_x = fields._log_in_tree(field, fields._with_tables(field, tree), qctx.x_class)
+    e = math.gcd(log_x, n_units)
+    if e * qctx.rotation_order != n_units:
+        raise OrderMismatchError("class of x has wrong order")
+    u = log_x // e
+    for _ in range(n_units + 1):
+        if math.gcd(u, n_units) == 1:
+            return e, field.pow(primitive, u), log_x * pow(u, -1, n_units) % n_units
+        u += qctx.rotation_order
     raise InternalError("no unit exponent reaches the class of x")
 
 

@@ -36,6 +36,7 @@ from reference import (
     poly_add,
     split_by_division,
     support_by_division,
+    x_data_by_tree,
 )
 from test_fields import golden_instances
 
@@ -196,6 +197,24 @@ class TestWholeCyclotomicFactors:
         assert memo[6] == (1, minus, 1)
         assert memo[12] == (1, 0, minus, 0, 1)
         assert memo[30] == (1, 1, 0, minus, minus, minus, 0, 1, 1)
+
+
+class TestLogOfX:
+    @pytest.mark.parametrize("qi", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_matches_the_tree(self, qi):
+        # set-up reads x's log from x_powers; the log down the tree, as set-up once took
+        # it, gives the same x_exponent, generator and log of x_class in every quotient
+        (f,) = factorize(qi)
+        field = build_field(f.p, f.t)
+        compared = set()
+        for n in splitting_field_instances(qi):
+            cosets = cyclotomic_cosets(n, qi)
+            for coset, poly in zip(cosets, factor_xn_minus_1(n, field, cosets)):
+                qctx = QuotientFieldCtx(field, poly, n, coset.rep)
+                found = (qctx.x_exponent, qctx.generator, qctx.dlog(qctx.x_class))
+                assert found == x_data_by_tree(qctx), (n, coset.rep)
+                compared.add((qctx.rotation_order > 1, qctx.x_exponent > 1))
+        assert {(False, qi > 2), (True, True)} <= compared  # x - 1 has x_exponent qi - 1
 
 
 class TestSetupCost:

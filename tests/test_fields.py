@@ -6,10 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from necklacemap import decomposition, fields, numtheory, polys
+from necklacemap import cli, decomposition, fields, numtheory, polys
 from necklacemap.bijection import map_necklace, unmap_function
 from necklacemap.decomposition import build_tables, cyclotomic_cosets
-from necklacemap.errors import InternalError, NotPrimeError, OrderMismatchError, ZeroElementError
+from necklacemap.errors import (
+    EnvelopeExceededError,
+    InternalError,
+    NotPrimeError,
+    OrderMismatchError,
+    ZeroElementError,
+)
 from necklacemap.fields import (
     ExtensionField,
     PrimeField,
@@ -588,13 +594,13 @@ class TestQuotientCtx:
     def test_wrong_log_of_x_is_caught(self, monkeypatch):
         # GF(25) modulo x^2+x+1: a log of x_class off by the unit factor 5 keeps its
         # gcd 8 with the group order 24, so only the generator check can see it
-        real = fields._log_in_tree
+        real = QuotientFieldCtx._log_of_x
 
-        def off_by_a_unit(field, node, y):
-            log = real(field, node, y)
-            return log * 5 % 24 if len(node) == 5 and node[0] * node[1] == 24 else log
+        def off_by_a_unit(qctx, primitive):
+            log = real(qctx, primitive)
+            return log * 5 % 24 if qctx.group_order == 24 else log
 
-        monkeypatch.setattr(fields, "_log_in_tree", off_by_a_unit)
+        monkeypatch.setattr(QuotientFieldCtx, "_log_of_x", off_by_a_unit)
         with pytest.raises(InternalError, match="generator does not reach the class of x"):
             QuotientFieldCtx(PrimeField(5), (1, 1, 1), n=3, rep=1)
 
@@ -634,6 +640,107 @@ class TestQuotientCtx:
                         rep_zero += qctx.rep == 0
                         compared += 1
         assert {1, 2, 3} <= seen_t and shared_gcd and rep_zero and compared > 100
+
+
+def zero_sum_functions(n, q, count, seed):
+    """Seeded functions on Z_n with weighted sum 0: f(n-1) = sum(v * f(v), v < n-1) mod n."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        head = [rng.randrange(q) for _ in range(n - 1)]
+        last = sum(v * c for v, c in enumerate(head)) % n
+        if last < q:
+            out.append((*head, last))
+    return out
+
+
+def leaf_orders(node):
+    return [node[0]] if len(node) == 2 else leaf_orders(node[3]) + leaf_orders(node[4])
+
+
+class TestLogTables:
+    @staticmethod
+    def forbid_logs(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a log table was filled or a log taken")
+
+        monkeypatch.setattr(fields, "baby_table", forbidden)
+        monkeypatch.setattr(fields, "_log_in_tree", forbidden)
+
+    @pytest.mark.parametrize("n,q", INVERSE_LADDER)
+    def test_build_and_unmap_take_no_log(self, monkeypatch, n, q):
+        # x's log is read from x_powers, and unmap needs only generators and x_powers
+        functions = zero_sum_functions(n, q, 5, 1000 * n + q)
+        with monkeypatch.context() as patched:
+            self.forbid_logs(patched)
+            tables = build_tables(RingParams.create(n, q))
+            words = [unmap_function(tables, f) for f in functions]
+        assert [map_necklace(tables, w) for w in words] == functions
+
+    @pytest.mark.parametrize("n,q", INVERSE_LADDER)
+    def test_first_dlog_fills_each_tree_once(self, monkeypatch, n, q):
+        tables = build_tables(RingParams.create(n, q))
+        filled = []
+        real = fields.baby_table
+        monkeypatch.setattr(
+            fields, "baby_table", lambda f, g, order: filled.append(order) or real(f, g, order))
+        trivial = 0
+        for qctx in (qctx for block in tables.blocks for qctx in block.quotients):
+            if qctx.group_order == 1:  # one element, one log, no table
+                assert qctx.dlog(qctx.field.one) == 0 and filled == []
+                trivial += 1
+                continue
+            assert qctx.dlog(qctx.generator) == 1
+            assert sorted(filled) == sorted(leaf_orders(qctx._tree)), (n, q, qctx.rep)
+            del filled[:]
+            assert qctx.dlog(qctx.x_class) == qctx.x_exponent % qctx.group_order
+            assert filled == [], (n, q, qctx.rep)
+        assert trivial == (q % 4 == 2)  # x - 1 over F_2, where 2 exactly divides q
+
+    @pytest.mark.parametrize(
+        "n,q,orders", [(7, 10, [5, 5**6, 8, 8]), (11, 12, [4, 4**5, 4**5, 3, 3**5, 3**5])]
+    )
+    def test_oversized_table_is_refused_before_any_is_filled(self, monkeypatch, n, q, orders):
+        # each nontrivial quotient needs entries * F_p digits for its largest leaf, the
+        # digits counted over F_p also over the table base GF(4): one below that, its
+        # first log is refused, naming the field and the prime power, and no table is
+        # filled; at that value, the log is taken
+        quotients = [qctx for block in build_tables(RingParams.create(n, q)).blocks
+                     for qctx in block.quotients if qctx.group_order > 1]
+        assert [qctx.field.order for qctx in quotients] == orders
+        for qctx in quotients:
+            f, largest = qctx.field, max(pp.value for pp in factorize(qctx.group_order))
+            digits = f.degree * (1 if isinstance(f.base, PrimeField) else f.base.degree)
+            need = (math.isqrt(largest - 1) + 1) * digits
+            assert f.p**digits == f.order and largest == max(leaf_orders(qctx._tree))
+            with monkeypatch.context() as patched:
+                self.forbid_logs(patched)
+                patched.setattr(fields, "BABY_TABLE_DIGITS", need - 1)
+                with pytest.raises(EnvelopeExceededError) as refused:
+                    qctx.dlog(qctx.generator)
+            assert f"GF({f.p}^{digits})" in str(refused.value)
+            assert f"order {largest}," in str(refused.value)
+            monkeypatch.setattr(fields, "BABY_TABLE_DIGITS", need)
+            assert qctx.dlog(qctx.generator) == 1
+
+    def test_cli_refusal_exits_1_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(fields, "BABY_TABLE_DIGITS", 1)
+        self.forbid_logs(monkeypatch)
+        assert cli.main(["map", "7", "10", "1,2,3,4,5,6,7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: a log in GF(")
+        assert cli.main(["unmap", "7", "10", "0,0,0,0,0,0,0"]) == 0
+
+    def test_107_2_needs_a_table_past_the_limit(self, monkeypatch):
+        # GF(2**106) has a subgroup of prime order 28059810762433: about 5.3 M baby
+        # entries of 106 digits.  Set-up and unmap still run; the first log in it is
+        # refused, and the trivial group of x - 1 needs no table
+        self.forbid_logs(monkeypatch)
+        tables = build_tables(RingParams.create(107, 2))
+        assert unmap_function(tables, (1,) * 107) == (0,) * 107
+        refusal = r"GF\(2\^106\).* order 28059810762433,"
+        for word in [(1,) + (0,) * 106, (0, 1) + (0,) * 105]:
+            with pytest.raises(EnvelopeExceededError, match=refusal):
+                map_necklace(tables, word)
 
 
 class TestPeriodCertificate:
