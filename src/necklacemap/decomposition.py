@@ -6,7 +6,8 @@ power q_i (and identifying [0, q_i) with F_{q_i} through the canonical
 element indexing) gives one polynomial per factor; reducing that modulo
 the irreducible factors of x**n - 1 over F_{q_i} gives one residue per
 cyclotomic coset (Phi_m itself when the coset holds every residue of order
-m; a splitting field is built only when some Phi_m splits).  Both
+m, else the minimal polynomial of w**rep, solved from its powers in a
+splitting field built only when some Phi_m splits).  Both
 reductions are invertible, which is what crt_combine implements in
 Garner's cofactor form (IRE Trans. Electronic Computers EC-8(2), 1959).
 Each quotient context is the one record of its factor P_j: F[x]/P_j, and the
@@ -112,6 +113,29 @@ def cyclotomic_polynomial(field, m: int, memo: dict) -> tuple:
     return memo[m]
 
 
+def _minimal_polynomial(field: Field, powers: list) -> tuple:
+    """Monic (c_0, ..., c_{s-1}, one) with sum(c_k b**k) = -b**s, for powers b**0 .. b**s
+    of an element b of degree s over `field`: Gauss-Jordan on the powers' coordinates, d
+    equations in s unknowns over `field`, a pivot inverted only when it is not one.  The
+    d - s rows left over must vanish, or the coefficients would not lie in `field`."""
+    zero, one, sub, mul, s = field.zero, field.one, field.sub, field.mul, len(powers) - 1
+    rows = [[*coords[:s], field.neg(coords[s])] for coords in zip(*powers)]
+    for k in range(s):
+        rows[k:] = sorted(rows[k:], key=lambda row: row[k] == zero)  # a nonzero pivot first
+        pivot = rows[k]
+        if pivot[k] == zero:
+            raise InternalError("powers of a coset's root are linearly dependent")
+        if pivot[k] != one:
+            scale = field.inv(pivot[k])
+            pivot[k:] = [mul(scale, v) for v in pivot[k:]]
+        for row in rows:
+            if row is not pivot and row[k] != zero:
+                row[k:] = [sub(v, mul(row[k], u)) for v, u in zip(row[k:], pivot[k:])]
+    if any(row[s] != zero for row in rows[s:]):
+        raise InternalError("factor coefficient escaped the base field")
+    return (*(row[s] for row in rows[:s]), one)
+
+
 def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
     """Monic irreducible factors of x**n - 1 over `field`, one per coset.
 
@@ -119,10 +143,10 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
     euler_phi(m) of them is the only coset of order m, so its factor is the
     cyclotomic polynomial Phi_m (Lidl & Niederreiter, Finite Fields,
     Thm 2.47).  Only when some Phi_m splits over several cosets is the
-    splitting extension built: a root of unity w of order n there gives
-    each such coset prod(x - w**k) over its members, whose coefficients
-    land back in `field` because the coset is Frobenius-closed.  Returned
-    coefficient tuples align with the coset list.
+    splitting extension built: there, with w a root of unity of order n, each
+    such coset's factor is the minimal polynomial of b = w**rep, solved over
+    `field` from b**0 .. b**size in the list of w's powers (_minimal_polynomial).
+    Returned coefficient tuples align with the coset list.
     """
     if math.gcd(n, field.order) != 1:
         raise NotCoprimeError(f"field order {field.order} shares a factor with n={n}")
@@ -142,12 +166,8 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
         if coset.size == euler_phi(m):
             factor = cyclotomic_polynomial(field, m, memo)
         else:
-            poly = (ext.one,)
-            for k in coset.members:
-                poly = polys.mul(ext, poly, (ext.neg(roots[k]), ext.one))
-            if any(c[1:] != ext.zero[1:] for c in poly):
-                raise InternalError("factor coefficient escaped the base field")
-            factor = polys.trim(field, [c[0] for c in poly])
+            powers = [roots[coset.rep * k % n] for k in range(coset.size + 1)]  # b = w**rep
+            factor = _minimal_polynomial(field, powers)
         if polys.degree(factor) != coset.size:
             raise InternalError("factor degree does not match its coset")
         factors.append(factor)

@@ -33,7 +33,9 @@
 - factor_by_splitting_field multiplies out prod(x - w**k) over every
   coset's members in the splitting extension; factor_xn_minus_1 takes the
   cyclotomic polynomial Phi_m for a coset holding every residue of order m
-  and builds the splitting extension only for the other cosets.
+  and builds the splitting extension only for the other cosets, each of
+  which takes the minimal polynomial of w**rep by one linear solve over the
+  base field on the coordinates of its powers, with no product of roots.
 - units_by_search finds the lexicographically least diagonal unit tuple
   by depth-first backtracking, exponential when none exists;
   AutomorphismTable calibrates by one backward reachability pass instead.

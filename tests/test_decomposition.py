@@ -199,6 +199,53 @@ class TestWholeCyclotomicFactors:
         assert memo[30] == (1, 1, 0, minus, minus, minus, 0, 1, 1)
 
 
+def split_instances(qi):
+    """Every n <= 130 coprime to qi with a split class (a coset smaller than euler_phi of its
+    order) whose splitting field GF(qi**d) has at most 2**12 elements."""
+    out = []
+    for n in range(1, 131):
+        if math.gcd(n, qi) == 1:
+            cosets = cyclotomic_cosets(n, qi)
+            small = qi ** max(c.size for c in cosets) <= 1 << 12
+            if small and any(c.size < euler_phi(n // math.gcd(n, c.rep)) for c in cosets):
+                out.append(n)
+    return out
+
+
+class TestSplitFactors:
+    """A split class's factor is the minimal polynomial of w**rep, solved from its powers."""
+
+    @pytest.mark.parametrize("qi", [2, 3, 4, 5, 7])
+    def test_matches_splitting_field_oracle(self, qi):
+        (f,) = factorize(qi)
+        field = build_field(f.p, f.t)
+        ns = split_instances(qi) + [129] * (qi == 2)  # GF(2**14) splits (129, 2)
+        for n in ns:
+            cosets = cyclotomic_cosets(n, qi)
+            assert factor_xn_minus_1(n, field, cosets) == factor_by_splitting_field(n, field, cosets), n
+        assert {2: {63}, 3: {91}, 4: {93}}.get(qi, set()) <= set(ns)
+
+    @pytest.mark.parametrize("n", [15, 5])
+    def test_tuple_base_matches_oracle(self, monkeypatch, n):
+        # past TABLE_LIMIT the base GF(4) keeps tuples, and the solve runs on them
+        monkeypatch.setattr(fields, "TABLE_LIMIT", 3)
+        field = build_field(2, 2)
+        assert isinstance(field, ExtensionField)
+        assert factor_xn_minus_1(n, field) == factor_by_splitting_field(n, field)
+
+    def test_perturbed_power_escapes_the_base_field(self):
+        # w**9 of order 7 has degree 3 in GF(2**6); b**3 + w lies outside the span of
+        # 1, b, b**2, so the three rows left over do not vanish
+        field = PrimeField(2)
+        ext = fields.extend_field(field, 6)
+        w = decomposition._root_of_unity(ext, 63)
+        powers = [ext.pow(w, 9 * k) for k in range(4)]
+        assert decomposition._minimal_polynomial(field, powers) == (1, 0, 1, 1)  # x**3 + x**2 + 1
+        powers[3] = ext.add(powers[3], w)
+        with pytest.raises(InternalError, match="escaped the base field"):
+            decomposition._minimal_polynomial(field, powers)
+
+
 class TestLogOfX:
     @pytest.mark.parametrize("qi", [2, 3, 4, 5, 7, 8, 9, 16])
     def test_matches_the_tree(self, qi):
@@ -292,6 +339,21 @@ class TestSetupCost:
         monkeypatch.setattr(ExtensionField, "mul", counted)
         build_tables(RingParams.create(63, 2))
         assert calls <= 1100
+
+    def test_split_factors_take_no_root_products(self, monkeypatch):
+        # each split coset's factor is solved from the powers of w**rep over F2: the
+        # products left are the n - 1 powers of w and the root of unity's own search
+        calls = 0
+        mul = ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "mul", counted)
+        factor_xn_minus_1(63, PrimeField(2))
+        assert calls <= 100
 
     def test_extension_products_per_build_of_inverse_ladder(self, monkeypatch):
         # one tree walk proves each primitive and holds its logs' tables, and
