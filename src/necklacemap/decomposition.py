@@ -10,8 +10,8 @@ m, else the minimal polynomial of w**rep, solved from its powers in a
 splitting field built only when some Phi_m splits).  Both
 reductions are invertible, which is what crt_combine implements in
 Garner's cofactor form (IRE Trans. Electronic Computers EC-8(2), 1959).
-Each quotient context is the one record of its factor P_j: F[x]/P_j, and the
-cofactor (x**n - 1) / P_j and its inverse, from the division proving P_j | x**R - 1.
+Each quotient context is the one record of its factor P_j: F[x]/P_j, and the cofactor
+(x**n - 1) / P_j and its inverse, read off the walk of x's powers proving P_j | x**R - 1.
 Only set-up uses the generic polys module.  Per word, a split is one packed int sum per
 factor over a SplitTable filled from the quotients' x_powers (one long division per
 quotient where the table would be too large), and a combine runs on the quotient fields'

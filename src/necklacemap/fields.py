@@ -15,9 +15,9 @@ which tabled logs are to replace: a product runs over one factor's nonzero
 coefficients, a square over about half their pairs.  Products and residues
 alike reduce by one remainder routine, which in a quotient field first
 folds x**u onto x**(u - R) by x**R = 1; a product by x (times_x) is one of
-its division rows.  An ExtensionField proves its own
-modulus irreducible with its own products: by its period in a quotient
-field, by Ben-Or's test otherwise.
+its division rows, by which a quotient field walks x's powers once to
+x**R = 1.  An ExtensionField proves its own modulus irreducible with its
+own products: by its period in a quotient field, by Ben-Or's test otherwise.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -94,12 +94,12 @@ class ExtensionField:
     base products the set-up guards count and which tabled logs are to replace.
     The field proves its modulus P irreducible with its own products, else ValueError.  Before
     any ring set-up, P must be monic of degree >= 1 with P' != 0 (P' = 0 makes P = g(x**p) =
-    h**p, every element of a finite field being a p-th power).  A `period` R > 0, which only
-    QuotientFieldCtx passes once its division proved that P divides x**R - 1, proves P with
-    no Frobenius step: deg P must be ord_R(|base|), and gcd(P, x**(R/r) - 1) = 1 for each
-    prime r | R makes every root a primitive R-th root of unity, so every irreducible factor
-    of P has that degree and P is one (Lidl & Niederreiter, Finite Fields, Thm 2.47).  Any
-    other P takes Ben-Or's test (_ben_or)."""
+    h**p, every element of a finite field being a p-th power).  A `period` R > 0, which
+    QuotientFieldCtx passes, proves P with no Frobenius step: deg P must be ord_R(|base|);
+    then `x_powers` lists x**k for k < R by times_x, and x**R = 1 proves P | x**R - 1;
+    gcd(P, x_powers[R/r] - 1) = 1 for each prime r | R makes every root a primitive R-th
+    root of unity, so every irreducible factor of P has that degree and P is one (Lidl &
+    Niederreiter, Finite Fields, Thm 2.47).  Any other P takes Ben-Or's test (_ben_or)."""
 
     def __init__(self, base, modulus: tuple, period: int = 0):
         if len(modulus) < 2 or modulus[-1] != base.one:
@@ -107,12 +107,6 @@ class ExtensionField:
         if all(c == base.zero for u, c in enumerate(modulus) if u % base.p):
             raise ValueError("modulus is a p-th power")
         self.degree = len(modulus) - 1
-        if period:  # the degree must be ord_R(|base|); no k exists if |base| is no unit mod R
-            exps = (k for k in range(1, period + 1) if pow(base.order, k, period) == 1 % period)
-            if self.degree != next(exps, 0) or any(
-                    polys.gcd(base, modulus, xn_minus_1(base, period // r)) != (base.one,)
-                    for r, _ in factorize(period)):
-                raise ValueError(f"modulus is no irreducible factor of Phi_{period}")
         self.base, self.p, self.period = base, base.p, period
         self.modulus = tuple(modulus)
         self.order = base.order**self.degree
@@ -131,7 +125,20 @@ class ExtensionField:
             self._slot = -(-(self.degree * (base.p - 1) ** 2).bit_length() // 8)
             if self._slot == 1:
                 self._residues = bytes(v % base.p for v in range(256))
-        if not period and not self._ben_or():
+        if period:  # the degree must be ord_R(|base|); no k exists if |base| is no unit mod R
+            exps = (k for k in range(1, period + 1) if pow(base.order, k, period) == 1 % period)
+            if self.degree != next(exps, 0):
+                raise ValueError(f"modulus is no irreducible factor of Phi_{period}")
+            powers = [self.one]  # x**k, k <= R, by times_x (no fold): P | x**R - 1 iff x**R = 1
+            for _ in range(period):
+                powers.append(self.times_x(powers[-1]))
+            if powers.pop() != self.one:
+                raise ValueError(f"the powers of x do not close after x**{period}")
+            self.x_powers = tuple(powers)
+            lower = (self.sub(powers[period // r], self.one) for r, _ in factorize(period))
+            if any(polys.gcd(base, modulus, polys.trim(base, h)) != (base.one,) for h in lower):
+                raise ValueError(f"modulus is no irreducible factor of Phi_{period}")
+        elif not self._ben_or():
             raise ValueError("modulus is reducible")
 
     def _ben_or(self) -> bool:
@@ -502,45 +509,38 @@ class QuotientFieldCtx:
     the largest p**e plus a few exponentiations per tree level; no table spans the group,
     and one past BABY_TABLE_DIGITS is refused before any is filled.
 
-    Set-up proves each fact once (else OrderMismatchError): the period division that
-    P | x**R - 1; ExtensionField's period certificate that P is irreducible with roots of
-    order R, so x_exponent = N/R, and _log_of_x reads x's log from x_powers with no tree.
-    find_primitive's walk, which builds the log tree, proves that `primitive` generates;
-    u is a unit, so the generator is primitive with no proof of its own, and
-    generator**x_exponent == x_class checks the log (else InternalError).  The field has
-    period R: x**R = 1 folds a product or residue, so a dense Phi_p modulus costs a
-    product one division row, not t - 1.  The division's quotient gives the CRT
-    `cofactor` C = (x**n - 1) / P, as x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R):
-    the period quotient (x**R - 1) / P, of degree R - t < R, repeated every R places.
-    `cofactor_inv` = C**-1 = x * P' / n mod P, since n * x**(n-1) = P' * C mod P (d/dx
-    of x**n - 1 = P * C) and x**n = 1; one product checks.
+    Set-up proves each fact once (else OrderMismatchError, with the field's message):
+    ExtensionField's period certificate, whose walk of x's powers proves P | x**R - 1 and
+    whose gcds prove P irreducible with roots of order R, so x_exponent = N/R, and
+    _log_of_x reads x's log from x_powers with no tree.  find_primitive's walk, which
+    builds the log tree, proves that `primitive` generates; u is a unit, so the generator
+    is primitive with no proof of its own, and generator**x_exponent == x_class checks the
+    log (else InternalError).  The field has period R: x**R = 1 folds a product or
+    residue, so a dense Phi_p modulus costs a product one division row, not t - 1.  The
+    CRT `cofactor` C = (x**n - 1) / P is (x**R - 1) / P repeated every R places, as
+    x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R); the period quotient's coefficient at
+    x**j is the top coordinate of x**(R-1-j), which the walk's times_x takes off by one
+    row of P, so nothing is divided by P.  `cofactor_inv` = C**-1 = x * P' / n mod P, as
+    n * x**(n-1) = P' * C mod P (d/dx of x**n - 1 = P * C) and x**n = 1; one product checks.
 
-    `x_powers[k]` is x**k mod P for k < R, which by the shift law is generator**(k *
-    x_exponent), the residue a rotation counter k stands for.  Each comes from the last by
-    times_x, a shift of its coefficients and one division row; x**1 must be x_class and
-    x * x**(R-1) must be one (else OrderMismatchError), two comparisons.
+    `x_powers[k]`, the field's x**k mod P for k < R, is by the shift law generator**(k *
+    x_exponent), the residue a rotation counter k stands for; x**(1 mod R) must be x_class,
+    which from_poly reduces on its own (else OrderMismatchError).
     """
 
     def __init__(self, base_field, modulus: tuple, n: int, rep: int):
         self.n, self.rep = n, rep
         self.rep_gcd = math.gcd(n, rep)
         self.rotation_order = r = n // self.rep_gcd
-        period_quot, rem = polys.divmod_(base_field, xn_minus_1(base_field, r), modulus)
-        if rem:
-            raise OrderMismatchError(f"modulus does not divide x**{r} - 1")
         try:
             self.field = ExtensionField(base_field, tuple(modulus), period=r)
         except ValueError as refused:
-            raise OrderMismatchError(f"modulus is no irreducible factor of Phi_{r}") from refused
-        self.x_class = self.field.from_poly(polys.x(base_field))
-        powers = [self.field.one]
-        for _ in range(r):
-            powers.append(self.field.times_x(powers[-1]))
-        if powers[1] != self.x_class or powers[r] != self.field.one:
+            raise OrderMismatchError(str(refused)) from refused
+        self.x_class, self.x_powers = self.field.from_poly(polys.x(base_field)), self.field.x_powers
+        if self.x_powers[1 % r] != self.x_class:
             raise OrderMismatchError(f"the powers of x do not close after x**{r}")
-        self.x_powers = tuple(powers[:r])
-        gap = (base_field.zero,) * (self.field.degree - 1)  # deg period_quot = R - t
-        self.cofactor = ((period_quot + gap) * self.rep_gcd)[: n - self.field.degree + 1]
+        period_quot = tuple(power[-1] for power in reversed(self.x_powers))
+        self.cofactor = (period_quot * self.rep_gcd)[: n - self.field.degree + 1]
         p, n_inv, from_index = base_field.p, pow(n, -1, base_field.p), base_field.from_index
         self.cofactor_inv = self.field.from_poly(  # x * P' / n: P's coefficient u times u / n
             [base_field.mul(from_index(u * n_inv % p), m) for u, m in enumerate(modulus)])

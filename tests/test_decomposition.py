@@ -311,8 +311,8 @@ class TestSetupCost:
         assert calls <= 1579
 
     def test_subtractions_per_build_of_63_2(self, monkeypatch):
-        # one division per quotient: the CRT cofactor is the period check's
-        # quotient repeated, so x**63 - 1 is never divided by a factor
+        # a quotient divides nothing by its P: the CRT cofactor is (x**R - 1) / P, read off
+        # the walk of x's powers and repeated, so x**63 - 1 is never divided by a factor
         calls = 0
         sub = PrimeField.sub
 
@@ -324,6 +324,32 @@ class TestSetupCost:
         monkeypatch.setattr(PrimeField, "sub", counted)
         build_tables(RingParams.create(63, 2))
         assert calls <= 8500
+
+    @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (255, 2)])
+    def test_quotients_divide_nothing_by_their_modulus(self, monkeypatch, n, q):
+        # a quotient proves P | x**R - 1 and reads (x**R - 1) / P off one walk of x's
+        # powers, and its gcds take x**(R/r) - 1 mod P from that walk: while it is built,
+        # no division is by its own P (other quotients' moduli may turn up as remainders)
+        building, hits = [], []
+        divmod_, init = polys.divmod_, QuotientFieldCtx.__init__
+
+        def recorded(field, a, b):
+            if building and tuple(b) == building[-1]:
+                hits.append(b)
+            return divmod_(field, a, b)
+
+        def built(self, base_field, modulus, *args):
+            building.append(tuple(modulus))
+            try:
+                init(self, base_field, modulus, *args)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(polys, "divmod_", recorded)
+        monkeypatch.setattr(QuotientFieldCtx, "__init__", built)
+        tables = build_tables(RingParams.create(n, q))
+        assert sum(len(b.quotients) for b in tables.blocks) > 10
+        assert hits == []
 
     def test_extension_products_per_build_of_63_2(self, monkeypatch):
         # each generator's order follows from its exponent, with no proof of its

@@ -774,6 +774,37 @@ class TestPeriodCertificate:
                 assert accepted == (is_irreducible_by_trial(field, P) and order == R), (R, P)
         assert skipped == untried
 
+    @pytest.mark.parametrize("p,max_degree,factors", [(2, 6, 10), (3, 4, 19)])
+    def test_every_monic_modulus(self, p, max_degree, factors):
+        # every monic P of degree 1..max_degree and every R <= 30 prime to p, divisors of
+        # x**R - 1 or not: a period field accepts P iff P | x**R - 1, P is irreducible by
+        # trial and x has order R mod P; so it accepts each of the phi(R) / ord_R(p)
+        # factors of Phi_R whose degree ord_R(p) is at most max_degree, and nothing else
+        field, accepted = PrimeField(p), 0
+        monics = [(*(i // p**u % p for u in range(d)), 1)
+                  for d in range(1, max_degree + 1) for i in range(p**d)]
+        for P in monics:
+            irreducible = is_irreducible_by_trial(field, P)
+            divides = {e for e in range(1, 31) if not polys.mod(field, xn_minus_1(field, e), P)}
+            for R in range(1, 31):
+                if R % p == 0:
+                    continue
+                expected = irreducible and R in divides and min(divides) == R
+                try:
+                    ExtensionField(field, P, period=R)
+                    found = True
+                except ValueError:
+                    found = False
+                assert found == expected, (P, R)
+                accepted += found
+        assert accepted == factors
+
+    def test_modulus_must_divide_x_r_minus_1(self):
+        # x**4 + x + 1 over F2 has degree ord_5(2) = 4 and no root 1, yet x has order 15
+        # mod it, so x**5 != 1 and the period 5 is refused
+        with pytest.raises(ValueError, match="powers of x do not close"):
+            ExtensionField(PrimeField(2), (1, 1, 0, 0, 1), period=5)
+
     def test_only_the_gcd_refuses_phi_7_at_period_21(self):
         # Phi_7 = (x**3 + x + 1)(x**3 + x**2 + 1) over F_2 has degree 6 = ord_21(2)
         F2 = PrimeField(2)
