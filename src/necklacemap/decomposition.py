@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 
 from . import polys
@@ -34,6 +33,7 @@ from .fields import (
     ExtensionField,
     Field,
     QuotientFieldCtx,
+    SlotCodec,
     build_field,
     extend_field,
     find_primitive,
@@ -198,49 +198,40 @@ class SplitTable:
         bound, self.w = 2 if p == 2 else max(n, 2) * (p - 1), 1
         while bound >> 8 * self.w:
             self.w *= 2
-        w, self.size, self.rows = self.w, n * t * self.w, None
+        w, self.size, self.slots, self.rows = self.w, n * t * self.w, n * t, None
         if qi > 256 or isinstance(field, ExtensionField) or qi * n * self.size > SPLIT_TABLE_BYTES:
             return
-        self._code, self._mod = "BHIQ"[w.bit_length() - 1], (bytes(range(p)) * 256)[:256]
+        self.codec = codec = SlotCodec(p, w, n * n * t)
         coeffs = [0] * n * n  # position-major: x**v's coefficients in every quotient
         for span, q in zip(self.spans, quotients):
             col, d = list(itertools.chain(*q.x_powers)) * (n // q.rotation_order), q.field.degree
             for u in range(d):
                 coeffs[span.start + u :: n] = col[u::d]
         digits = [c // p**k % p for c in coeffs for k in range(t)] if t > 1 else coeffs
-        basis, bits = [self._pack(digits)], 8 * w
+        basis, bits, slots = [codec.pack(digits)], 8 * w, n * n * t  # slots of a color's rows
         # alpha * d: each coefficient's top digit moves to its chunk's foot, times -P(0..t-1)
         foot = int.from_bytes((b"\xff" * w + bytes(w * (t - 1))) * n * n, "little")
         fold = sum(-m % p << bits * k for k, m in enumerate(getattr(field, "modulus", ())[:t]))
         for _ in range(1, t):
             d = basis[-1]
             top = d >> bits * (t - 1) & foot
-            basis.append(self._pack(self._digits((d << bits) - (top << bits * t) + top * fold, n)))
+            basis.append(codec.reduce((d << bits) - (top << bits * t) + top * fold, slots))
         colors, k = [0], 0  # color c from c - p**k, p**k its top digit's place
         for c in range(1, qi):
             k += c == p ** (k + 1)
-            colors.append(self._pack(self._digits(colors[c - p**k] + basis[k], n)))
+            colors.append(codec.reduce(colors[c - p**k] + basis[k], slots))
         self.rows = [[] for _ in range(n)]
         for color in colors:
             blob = color.to_bytes(n * self.size, "little")
             for v, row in enumerate(self.rows):
                 row.append(int.from_bytes(blob[v * self.size : (v + 1) * self.size], "little"))
 
-    def _pack(self, digits) -> int:
-        return int.from_bytes(array(self._code, iter(digits)), "little")
-
-    def _digits(self, total: int, positions: int = 1) -> bytes:
-        """The slots of a packed sum, each reduced mod p, one byte each."""
-        raw = total.to_bytes(positions * self.size, "little")
-        if self.w == 1:
-            return raw.translate(self._mod)
-        return bytes(map(self.p.__rmod__, array(self._code, raw)))
-
     def _indices(self, word) -> bytes:
         """The index of each coefficient of the word's residues, one byte each: summed times
         p**k, the digit planes carry into no neighbour, as every index is below q_i <= 256."""
         picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
-        digits = self._digits(functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks))
+        total = functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks)
+        digits = self.codec.digits(total, self.slots)
         if self.t == 1:
             return digits
         planes = (int.from_bytes(digits[k :: self.t], "little") * self.p**k for k in range(self.t))

@@ -7,17 +7,17 @@ of base elements (little-endian in powers of the defining root).  Over
 such a base an extension is one tuple level of ints; only a base above
 TABLE_LIMIT is itself a tuple field, whose extensions nest once and whose
 products recurse.  All hash and compare structurally.  Above TABLE_LIMIT a
-field over F_p multiplies by Kronecker substitution (D. Harvey, J. Symbolic
-Comput. 44(10), 2009): both tuples packed into one int each, one int product.
-Every other field, at or below the limit or over a table or tuple base,
-keeps the schoolbook loop, whose base products the set-up guards count and
-which tabled logs are to replace: a product runs over one factor's nonzero
-coefficients, a square over about half their pairs.  Products and residues
-alike reduce by one remainder routine, which in a quotient field first
-folds x**u onto x**(u - R) by x**R = 1; a product by x (times_x) is one of
-its division rows, by which a quotient field walks x's powers once to
-x**R = 1.  An ExtensionField proves its own modulus irreducible with its
-own products: by its period in a quotient field, by Ben-Or's test otherwise.
+field over F_p with one- or two-byte slots multiplies in one int kernel:
+each tuple packed into one int (Kronecker substitution; D. Harvey, J.
+Symbolic Comput. 44(10), 2009), one int product, the fold by x**R = 1, a
+slot reduction mod p (SlotCodec) and Barrett's division (CRYPTO '86); pow
+and the logs' steps stay packed in between.  Every other field keeps the
+schoolbook loop, whose base products the set-up guards count, reduced by
+one remainder routine that in a quotient field folds x**u onto x**(u - R)
+first; a product by x (times_x) is one of its division rows, by which a
+quotient field walks x's powers once to x**R = 1.  An ExtensionField proves
+its modulus irreducible with its own products: by its period in a quotient
+field, by Ben-Or's test otherwise.
 
 Every choice that could vary (defining modulus, primitive element, root of
 unity, constrained generator) is pinned to the first hit in the canonical
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from typing import Union
 
 from . import polys
@@ -87,11 +88,40 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+class SlotCodec:
+    """F_p digits in w-byte little-endian slots of one int, w in (1, 2, 4, 8): packed, and
+    reduced slot by slot mod p, by an AND for p = 2 (on at most `slots` slots), a
+    bytes.translate for one-byte slots, and one residue per slot where wider; or unpacked
+    to one byte per reduced digit.  ExtensionField's kernel and SplitTable share it."""
+
+    def __init__(self, p: int, w: int, slots: int = 0):
+        self.p, self.w, self._code = p, w, "BHIQ"[w.bit_length() - 1]
+        self._mod = bytes(v % p for v in range(256))
+        self._ones = int.from_bytes((b"\1" + bytes(w - 1)) * slots, "little")
+
+    def pack(self, digits) -> int:  # iter: an array takes raw bytes as its items' bytes
+        return int.from_bytes(digits if self.w == 1 else array(self._code, iter(digits)), "little")
+
+    def reduce(self, c: int, count: int) -> int:  # c has at most `count` slots
+        if self.p == 2:
+            return c & self._ones
+        if self.w == 1:
+            return int.from_bytes(c.to_bytes(count, "little").translate(self._mod), "little")
+        return self.pack(self.digits(c, count))
+
+    def digits(self, c: int, count: int) -> bytes:
+        """c's lowest `count` slots, each reduced mod p to one byte (p <= 256)."""
+        raw = c.to_bytes(count * self.w, "little")
+        if self.w == 1:
+            return raw.translate(self._mod)
+        return bytes(map(self.p.__rmod__, array(self._code, raw)))
+
+
 class ExtensionField:
-    """base[x] mod a monic irreducible; elements are coefficient tuples, reduced by _reduce.
-    Over F_p above TABLE_LIMIT, mul is one int product of the packed tuples (_kronecker);
-    a field at or below it, or over a table or tuple base, keeps the schoolbook loop, whose
-    base products the set-up guards count and which tabled logs are to replace.
+    """base[x] mod a monic irreducible; elements are coefficient tuples.  Over F_p above
+    TABLE_LIMIT with slots of one or two bytes, products run in the packed kernel (_product),
+    and pow and the log loops keep elements packed; every other field keeps the
+    schoolbook loop and _reduce, whose base products the set-up guards count.
     The field proves its modulus P irreducible with its own products, else ValueError.  Before
     any ring set-up, P must be monic of degree >= 1 with P' != 0 (P' = 0 makes P = g(x**p) =
     h**p, every element of a finite field being a p-th power).  A `period` R > 0, which
@@ -117,14 +147,24 @@ class ExtensionField:
         ones = tuple(v for v, m in low if m == base.one)
         tail = tuple((v, m) for v, m in low if m not in (base.zero, base.one))
         self._reduction = (base.zero, base.sub, base.mul, ones, tail)
-        # bytes per packed coefficient (0: schoolbook).  A slot sums at most t products of
-        # two residues below p: slot u < R also takes a*b's x**(u + R), and the two sum
-        # (u + 1) + (2t - 1 - u - R) < t of them, as t < R
-        self._slot = 0
+        # bytes per packed coefficient over F_p above TABLE_LIMIT (else 0): a slot sums at most
+        # t products of residues (slot u < R also takes a*b's x**(u + R), u + 1 plus 2t - 1 - u
+        # - R < t of them, as t < R).  Slots past two bytes, reduced one by one, lose to the loop
+        self._slot, self._codec, t, p, m = 0, None, self.degree, base.p, self.modulus
         if isinstance(base, PrimeField) and self.order > TABLE_LIMIT:
-            self._slot = -(-(self.degree * (base.p - 1) ** 2).bit_length() // 8)
-            if self._slot == 1:
-                self._residues = bytes(v % base.p for v in range(256))
+            self._slot = -(-(t * (p - 1) ** 2).bit_length() // 8)
+        if self._slot in (1, 2):  # the kernel's constants (_product)
+            w, slots = self._slot, min(period or 2 * t, 2 * t - 1)  # slots after the fold
+            self._codec, bits, fold, mu = SlotCodec(p, w, 2 * t - 1), 8 * w * t, 8 * w * slots, 0
+            # the quotient: one slot above x**t, unreduced, where p times a slot's bound fits
+            # in a slot; else Barrett's mu = floor(x**(2t) / P), reversed 1 / rev(P) mod x**(t+1)
+            if slots > t + 1 or t * (p - 1) ** 2 * p >> 8 * w:
+                s = [1]
+                for k in range(1, t + 1):
+                    s.append(-sum(m[t - i] * s[k - i] for i in range(1, k + 1)) % p)
+                mu = self._codec.pack(reversed(s))
+            self._kernel = (self._codec, t, slots, bits, (1 << bits) - 1, mu,
+                            self._codec.pack(-c % p for c in m[:t]), fold, (1 << fold) - 1)
         if period:  # the degree must be ord_R(|base|); no k exists if |base| is no unit mod R
             exps = (k for k in range(1, period + 1) if pow(base.order, k, period) == 1 % period)
             if self.degree != next(exps, 0):
@@ -200,11 +240,12 @@ class ExtensionField:
         return tuple(map(self.base.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        """a*b, packed by _kronecker above TABLE_LIMIT.  Else over b's s nonzero terms: each
+        """a*b, by the kernel (_product) where the field packs.  Else over b's s nonzero terms: each
         nonzero a_i times each; a square (a is b) takes the a_i**2 and, for odd p, the
         doubled a_i*a_j, i < j: s(s+1)/2 products, s for p = 2."""
-        if self._slot:  # out of line: inlined here, it cost the loop about 3% per call
-            return self._kronecker(a, b)
+        if self._codec:
+            c = self._codec.pack(a)
+            return self._unpack(self._product(c, c if a is b else self._codec.pack(b)))
         zero, add, mul = self.base.zero, self.base.add, self.base.mul
         conv = [zero] * (2 * self.degree - 1)
         terms = [(j, c) for j, c in enumerate(b) if c != zero]
@@ -222,26 +263,22 @@ class ExtensionField:
                         conv[i + j] = add(conv[i + j], mul(ca, cb))
         return self._reduce(conv)
 
-    def _kronecker(self, a: tuple, b: tuple) -> tuple:
-        """a*b as one int product of the packed tuples (a square when a is b), folded by
-        x**R = 1 on the int; each w-byte slot is reduced mod p before the division rows."""
-        w = self._slot
-        c = self._pack(a)
-        c *= c if a is b else self._pack(b)
-        slots = 2 * self.degree - 1
-        if slots > self.period > 0:
-            slots, cut = self.period, 8 * w * self.period
-            c = (c & ((1 << cut) - 1)) + (c >> cut)
-        raw = c.to_bytes(w * slots, "little")
-        if w == 1:
-            return self._reduce(list(raw.translate(self._residues)))
-        return self._reduce(
-            [int.from_bytes(raw[i : i + w], "little") % self.p for i in range(0, w * slots, w)])
+    def _product(self, a: int, b: int) -> int:
+        """The kernel: a*b mod P on packed elements (a square when a is b): one int product
+        c, folded by x**R = 1 (a no-op where R >= 2t - 1); the quotient q, c's one slot past
+        x**t unreduced, or by Barrett's two products with mu once c is reduced mod p; and c's
+        low t slots plus q times -P's low t slots (`row`), reduced mod p, the remainder."""
+        codec, t, slots, bits, low, mu, row, fold, below = self._kernel
+        c = a * b
+        c = (c & below) + (c >> fold)
+        q = c >> bits
+        if mu:
+            c = codec.reduce(c, slots)
+            q = codec.reduce((c >> bits) * mu >> bits, slots - t)
+        return codec.reduce((c & low) + (q * row & low), t)
 
-    def _pack(self, a: tuple) -> int:
-        w = self._slot
-        return int.from_bytes(bytes(a) if w == 1 else b"".join(c.to_bytes(w, "little") for c in a),
-                              "little")
+    def _unpack(self, c: int) -> tuple:
+        return tuple(self._codec.digits(c, self.degree))
 
     def inv(self, a: tuple) -> tuple:
         if a == self.zero:
@@ -254,12 +291,15 @@ class ExtensionField:
             e = -e
         if e == 0:
             return self.one
+        mul = self.mul
+        if self._codec:  # the kernel on packed ints, as tuples only at the edges
+            mul, a = self._product, self._codec.pack(a)
         result = a
         for bit in bin(e)[3:]:
-            result = self.mul(result, result)
+            result = mul(result, result)
             if bit == "1":
-                result = self.mul(result, a)
-        return result
+                result = mul(result, a)
+        return self._unpack(result) if self._codec else result
 
     def from_index(self, i: int) -> tuple:
         return _digits(self.base, i, self.degree)
@@ -455,12 +495,15 @@ def baby_table(field, g, order: int) -> tuple[dict, object]:
     ceil(sqrt(order)), and giant is g**-m, taken as g**(order - m).
     """
     m = math.isqrt(order - 1) + 1
-    table = {}
-    acc = field.one
+    codec, table, giant = getattr(field, "_codec", None), {}, field.pow(g, order - m)
+    if codec:  # a packed field's table and giant are packed, and its kernel takes the steps
+        mul, acc, g, giant = field._product, codec.pack(field.one), codec.pack(g), codec.pack(giant)
+    else:
+        mul, acc = field.mul, field.one
     for j in range(m):
         table.setdefault(acc, j)
-        acc = field.mul(acc, g)
-    return table, field.pow(g, order - m)
+        acc = mul(acc, g)
+    return table, giant
 
 
 def discrete_log(field, y, order: int, babies: dict, giant) -> int:
@@ -472,13 +515,14 @@ def discrete_log(field, y, order: int, babies: dict, giant) -> int:
     """
     if y == field.zero:
         raise ZeroElementError("zero is outside the unit group")
-    m = math.isqrt(order - 1) + 1
-    acc = y
+    m, mul, acc = math.isqrt(order - 1) + 1, field.mul, y
+    if getattr(field, "_codec", None):  # packed, as baby_table packs its table
+        mul, acc = field._product, field._codec.pack(y)
     for i in range(m + 1):
         j = babies.get(acc)
         if j is not None:
             return (i * m + j) % order
-        acc = field.mul(acc, giant)
+        acc = mul(acc, giant)
     raise InternalError("element is not a power of the base")
 
 

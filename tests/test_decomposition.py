@@ -411,6 +411,23 @@ class TestSetupCost:
         build_tables(RingParams.create(17, 3))
         assert calls <= 70_000
 
+    @pytest.mark.parametrize("n,q,bound", [(17, 3, 850), (101, 2, 9200)])
+    def test_kernel_products_per_build(self, monkeypatch, n, q, bound):
+        # GF(3**16) and GF(2**100) modulo Phi_17 and Phi_101 are above TABLE_LIMIT: their
+        # products and powers run in the packed kernel, which the ExtensionField.mul and
+        # PrimeField guards above do not see (measured: 783 and 8731 kernel products)
+        calls = 0
+        product = ExtensionField._product
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return product(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "_product", counted)
+        build_tables(RingParams.create(n, q))
+        assert 0 < calls <= bound
+
     def test_base_products_per_build_below_the_limit(self, monkeypatch):
         # GF(5**6) modulo Phi_7 of (7,10) keeps the schoolbook loop: squares take
         # half the products, and Phi_7 folds by x**7 = 1 to one division row

@@ -107,6 +107,26 @@ class TestPohligHellman:
             qc.dlog(y)
         assert calls / len(units) < 1000
 
+    def test_kernel_products_per_log(self, tables_for, monkeypatch):
+        # GF(3**16) packs: a log's giant steps and the tree's powers run in the kernel, which
+        # test_multiplications_per_log no longer sees (measured: 85.8 products per log)
+        qc = tables_for(17, 3).blocks[0].quotients[1]
+        rng = random.Random(20)
+        units = [qc.field.from_index(rng.randrange(1, qc.field.order)) for _ in range(20)]
+        qc.dlog(units[0])  # the baby tables are filled at the first log
+        calls = 0
+        product = ExtensionField._product
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return product(self, a, b)
+
+        monkeypatch.setattr(ExtensionField, "_product", counted)
+        for y in units:
+            qc.dlog(y)
+        assert 0 < calls / len(units) < 95
+
 
 class TestSplitLog:
     def test_quotient_remainder(self, tables_for):

@@ -279,6 +279,103 @@ class TestPackedProduct:
             assert bool(calls) == (f in small), f
 
 
+class TestPackedKernel:
+    """With TABLE_LIMIT at 1 every field over F_p with slots of one or two bytes packs, so
+    the kernel's shapes meet polys on small fields: a fold then Barrett (Phi_9), one row
+    with its top slot unreduced and Barrett on a fold to t + 1 slots (Phi_5), Barrett with a
+    period too long to fold (a cubic factor of Phi_7), Barrett alone, and two-byte slots;
+    pow is checked against repeated products."""
+
+    FIELDS = [
+        (2, (1, 0, 0, 1, 0, 0, 1), 9),  # GF(2**6) modulo Phi_9
+        (3, (1, 1, 1, 1, 1), 5),  # GF(3**4) modulo Phi_5
+        (7, (1, 1, 1, 1, 1), 5),  # GF(7**4) modulo Phi_5: one row, but 7 * 4 * 6**2 > 255
+        (2, (1, 1, 0, 1), 7),  # x**3 + x + 1, a factor of Phi_7 over F_2
+        (7, 3, 0),  # extend_field(PrimeField(7), 3)
+        (11, 3, 0),  # two-byte slots: 3 * 10**2 > 255
+    ]
+
+    @staticmethod
+    def packed(monkeypatch, p, modulus, period):
+        monkeypatch.setattr(fields, "TABLE_LIMIT", 1)
+        base = PrimeField(p)
+        if isinstance(modulus, int):
+            return extend_field(base, modulus)
+        return ExtensionField(base, modulus, period)
+
+    @pytest.mark.parametrize("p,modulus,period", FIELDS)
+    def test_products_and_squares_match_polys(self, monkeypatch, p, modulus, period):
+        f = self.packed(monkeypatch, p, modulus, period)
+        base, t = f.base, f.degree
+        assert f._slot == (1 if p < 11 else 2) and f._codec
+        mu = f._kernel[5]  # 0 where the one slot above x**t is the quotient
+        assert bool(mu) == (p in (2, 7, 11)), mu
+        if f.order <= 81:
+            elements = [f.from_index(i) for i in range(f.order)]
+        else:
+            rng = random.Random(p * t)
+            elements = [f.zero, f.one, (p - 1,) * t]
+            elements += [f.from_index(rng.randrange(f.order)) for _ in range(40)]
+
+        def reference(a, b):
+            r = polys.mod(base, polys.mul(base, polys.trim(base, a), polys.trim(base, b)), f.modulus)
+            return r + (base.zero,) * (t - len(r))
+
+        for a in elements:
+            assert f.mul(a, a) == reference(a, a), a
+            for b in elements:
+                assert f.mul(a, b) == reference(a, b), (a, b)
+
+    @pytest.mark.parametrize("p,modulus,period", FIELDS)
+    def test_powers_match_repeated_products(self, monkeypatch, p, modulus, period):
+        f = self.packed(monkeypatch, p, modulus, period)
+        n_units, rng = f.order - 1, random.Random(f.order)
+        for a in [f.one, f.from_index(f.order - 1)] + [
+                f.from_index(rng.randrange(2, f.order)) for _ in range(2)]:
+            powers = [f.one]
+            for _ in range(n_units):
+                powers.append(f.mul(powers[-1], a))
+            assert powers[-1] == f.one, a
+            exponents = [0, 1, 2, n_units - 1, n_units, -1]
+            exponents += [rng.randrange(-3 * n_units, 3 * n_units) for _ in range(8)]
+            for e in exponents:
+                assert f.pow(a, e) == powers[e % n_units], (a, e)
+        assert f.pow(f.zero, 0) == f.one and f.pow(f.zero, 5) == f.zero
+        with pytest.raises(ZeroDivisionError):
+            f.pow(f.zero, -1)
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls, real = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, a, b: calls.append(1) or real(self, a, b))
+        return calls
+
+    def test_wider_slots_keep_the_loop(self, monkeypatch):
+        # three-byte slots (GF(257**2)) and the six-byte slots of GF(1048583**3), reduced
+        # one by one, lose to the schoolbook loop, which they keep above TABLE_LIMIT too
+        wide = [self.packed(monkeypatch, 257, 2, 0), extend_field(PrimeField(1048583), 3)]
+        assert [f._slot for f in wide] == [3, 6] and wide[1].order > 1 << 60
+        products = self.count(monkeypatch, PrimeField, "mul")
+        for f in wide:
+            a = f.from_index(f.order // 3)
+            assert f._codec is None and f.mul(a, f.inv(a)) == f.one
+        assert products
+
+    def test_fields_built_before_a_patch_are_counted(self, monkeypatch, tables_for):
+        # pow reads mul, or the kernel, off the class at each call, so a guard that patches
+        # either after the field is built still counts its products
+        small = tables_for(7, 10).blocks[0].quotients[1].field
+        big = tables_for(17, 3).blocks[0].quotients[1].field
+        muls = self.count(monkeypatch, ExtensionField, "mul")
+        kernel = self.count(monkeypatch, ExtensionField, "_product")
+        a = small.from_index(12345 % small.order)
+        small.pow(a, 100)
+        assert len(muls) >= 7 and kernel == []
+        del muls[:]
+        big.pow(big.from_index(12345), 100)
+        assert muls == [] and len(kernel) >= 7
+
+
 class TestTableField:
     """TableField against the one-level tuple field with the same modulus,
     extend_field(PrimeField(p), t), compared through from_index/to_index."""
