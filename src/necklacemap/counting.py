@@ -11,8 +11,10 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .decomposition import CosetTable
-from .errors import EvenNError, InternalError
+from .errors import EnvelopeExceededError, EvenNError, InternalError
 from .numtheory import euler_phi, factorize, gcd_of_set
+
+STRATA_LIMIT = 1 << 18  # the most supports stratum_keys lists: (91, 3) has 2**18
 
 
 def _divisors(n: int) -> list[int]:
@@ -67,12 +69,9 @@ def stratum_count(tables: CosetTable, support) -> int:
 
 
 def stratum_keys(tables: CosetTable) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All supports, in a fixed order (subset size, then lexicographic)."""
-    per_factor = []
-    for block in tables.blocks:
-        m = len(block.cosets)
-        subsets = [
-            idxs for size in range(m + 1) for idxs in combinations(range(m), size)
-        ]
-        per_factor.append(subsets)
-    return product(*per_factor)
+    """All supports, in a fixed order (subset size, then lexicographic), at most STRATA_LIMIT."""
+    sizes = [len(block.cosets) for block in tables.blocks]
+    if 1 << sum(sizes) > STRATA_LIMIT:
+        raise EnvelopeExceededError(f"{1 << sum(sizes)} strata, past the {STRATA_LIMIT} listed")
+    subsets = ([idxs for k in range(m + 1) for idxs in combinations(range(m), k)] for m in sizes)
+    return product(*subsets)

@@ -32,7 +32,7 @@ class ZeroElementError(NecklaceMapError, ValueError):
 
 
 class EnvelopeExceededError(NecklaceMapError):
-    """An enumeration past the size envelope, or a log table past BABY_TABLE_DIGITS."""
+    """Work past a size bound: an enumeration, a log's baby table, or the list of strata."""
 
     exit_code = 1
 

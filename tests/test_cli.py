@@ -1,13 +1,18 @@
+import gzip
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from necklacemap import cli, errors, oracle
+from necklacemap import cli, counting, errors, oracle
 from necklacemap.cli import main
 from necklacemap.decomposition import build_tables, crt_combine
 from necklacemap.fields import QuotientFieldCtx
 from necklacemap.numtheory import RingParams
+from test_decomposition import perturb_a_power
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -184,6 +189,40 @@ class TestExitCodes:
         code, _, err = run(capsys, "map", "4", "15", ",".join(map(str, word)))
         assert code == 3
         assert "invariant" in err
+
+    def test_perturbed_trace_row_exits_3(self, capsys, monkeypatch):
+        # a walk of x's powers perturbed after set-up perturbs its trace row, which the
+        # certificate refuses at the first combine, in one line
+        def perturbed(params):
+            tables = build_tables(params)
+            perturb_a_power(tables)
+            return tables
+
+        monkeypatch.setattr(cli, "build_tables", perturbed)
+        code, out, err = run(capsys, "unmap", "3", "10", "6,9,9")
+        assert (code, out) == (3, "")
+        assert err == "internal invariant violated: the trace rows do not invert the split\n"
+
+    @pytest.mark.parametrize("argv", [("count", "--strata", "93", "4"),
+                                      ("--json", "count", "--strata", "255", "2")])
+    def test_strata_past_the_bound_exit_1_before_any_is_listed(self, capsys, argv):
+        # 21 cosets (2**21 strata) and 35 (2**35), past STRATA_LIMIT = 2**18: listing
+        # them once exhausted memory
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 2.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_strata_at_the_bound_are_listed_as_before(self, capsys, monkeypatch, tables_for):
+        # (63, 2) has 13 cosets: with the bound at its 2**13 strata they print the golden
+        # bytes, and one stratum below it they are refused
+        monkeypatch.setattr(cli, "build_tables", lambda p: tables_for(p.n, p.q))
+        golden = gzip.decompress((GOLDEN / "count_strata_63_2.json.gz").read_bytes())
+        monkeypatch.setattr(counting, "STRATA_LIMIT", 1 << 13)
+        assert run(capsys, "--json", "count", "63", "2", "--strata")[:2] == (0, golden.decode())
+        monkeypatch.setattr(counting, "STRATA_LIMIT", (1 << 13) - 1)
+        assert run(capsys, "--json", "count", "63", "2", "--strata")[:2] == (1, "")
 
     # every exception type of the package, with its exit status and prefix
     EXITS = {
