@@ -69,9 +69,16 @@ def stratum_count(tables: CosetTable, support) -> int:
 
 
 def stratum_keys(tables: CosetTable) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All supports, in a fixed order (subset size, then lexicographic), at most STRATA_LIMIT."""
-    sizes = [len(block.cosets) for block in tables.blocks]
-    if 1 << sum(sizes) > STRATA_LIMIT:
-        raise EnvelopeExceededError(f"{1 << sum(sizes)} strata, past the {STRATA_LIMIT} listed")
-    subsets = ([idxs for k in range(m + 1) for idxs in combinations(range(m), k)] for m in sizes)
-    return product(*subsets)
+    """All supports, in a fixed order (subset size, then lexicographic).  More than
+    STRATA_LIMIT of them raise EnvelopeExceededError before any is listed."""
+    strata = 1 << sum(len(block.cosets) for block in tables.blocks)
+    if strata > STRATA_LIMIT:
+        raise EnvelopeExceededError(f"{strata} strata, past the {STRATA_LIMIT} listed")
+    per_factor = []
+    for block in tables.blocks:
+        m = len(block.cosets)
+        subsets = [
+            idxs for size in range(m + 1) for idxs in combinations(range(m), size)
+        ]
+        per_factor.append(subsets)
+    return product(*per_factor)

@@ -1,17 +1,21 @@
 """Cyclotomic cosets, factoring x**n - 1, and the two-level CRT split.
 
-A color word c_0..c_{n-1} over [0, q) is read as the polynomial sum(c_v x**v) in
-Z_q[x]/(x**n - 1).  Reducing colors modulo each prime power q_i (and identifying [0, q_i)
-with F_{q_i} through the canonical element indexing) gives one polynomial per factor;
-reducing that modulo the irreducible factors of x**n - 1 over F_{q_i} gives one residue
-per cyclotomic coset (Phi_m itself when the coset holds every residue of order m, else
-the minimal polynomial of w**rep, solved from its powers in a splitting field built only
-when some Phi_m splits).  Each quotient context is the one record of its factor P_j:
-F[x]/P_j and x**k mod P_j for k < R_j, the walk that proves P_j | x**R_j - 1.  Only set-up
-uses the generic polys module.  Per word, a split is one packed int sum per factor over
-a SplitTable filled from those x_powers (one long division per quotient where the table
-would be too large), and a combine, the inverse transform, sums rows of traces read off
-the same x_powers and certified to invert the split.
+A color word c_0..c_{n-1} over [0, q) is read as the polynomial
+sum(c_v x**v) in Z_q[x]/(x**n - 1).  Reducing colors modulo each prime
+power q_i (and identifying [0, q_i) with F_{q_i} through the canonical
+element indexing) gives one polynomial per factor; reducing that modulo
+the irreducible factors of x**n - 1 over F_{q_i} gives one residue per
+cyclotomic coset (Phi_m itself when the coset holds every residue of order
+m, else the minimal polynomial of w**rep, solved from its powers in a
+splitting field built only when some Phi_m splits).  Both
+reductions are invertible, which is what crt_combine implements in
+Garner's cofactor form (IRE Trans. Electronic Computers EC-8(2), 1959).
+Each quotient context is the one record of its factor P_j: F[x]/P_j, and the cofactor
+(x**n - 1) / P_j and its inverse, read off the walk of x's powers proving P_j | x**R - 1.
+Only set-up uses the generic polys module.  Per word, a split is one packed int sum per
+factor over a SplitTable filled from the quotients' x_powers (one long division per
+quotient where the table would be too large), and a combine runs on the quotient fields'
+products.
 """
 
 from __future__ import annotations
@@ -250,7 +254,8 @@ class SplitTable:
 
 @dataclass(frozen=True)
 class FactorBlock:
-    """One prime-power factor q_i: its field and cosets, and per coset the quotient mod P_j."""
+    """Everything attached to one prime-power factor q_i: its field and cosets, and per
+    coset the quotient whose field's modulus is the factor P_j and which holds C_j, h_j."""
 
     factor: PrimePowerFactor
     field: Field
@@ -261,27 +266,10 @@ class FactorBlock:
     def split(self) -> SplitTable:  # at the first split: unmap never reads it
         return SplitTable(self.field, self.quotients, self.quotients[0].n)
 
-    @functools.cached_property
-    def traces(self) -> tuple[tuple[int, list], ...]:
-        """Per quotient, (R, row): row[i] = Tr(x**(R - 1 - i)) / n, i < n + R - 1, at the first
-        combine (map never reads it); Tr(x**k) sums coordinate u of x**((k + u) mod R), u < t, the
-        product by x**k's diagonal.  Certified, else InternalError: sum_j Tr_j(x**-v) / n is
-        [v = 0] for v < n, so, rows being linear in x's powers, the combine inverts the split."""
-        field, n, rows = self.field, self.quotients[0].n, []
-        add, mul, n_inv = field.add, field.mul, field.from_index(pow(n, -1, field.p))
-        for q in self.quotients:
-            r, powers, spots = q.rotation_order, q.x_powers, range(q.field.degree)
-            traces = [mul(n_inv, functools.reduce(add, (powers[(k + u) % r][u] for u in spots)))
-                      for k in range(r - 1, -1, -1)]
-            rows.append((r, (traces * (n // r + 1))[: n + r - 1]))
-        sums = [functools.reduce(add, col) for col in zip(*(row[r - 1 :] for r, row in rows))]
-        if sums != [field.one] + [field.zero] * (n - 1):
-            raise InternalError("the trace rows do not invert the split")
-        return tuple(rows)
-
 
 class CosetTable:
-    """Per-factor coset data plus both CRT directions, their rows filled at first use."""
+    """Per-factor coset data plus both CRT directions, fully precomputed: quotient
+    F[x]/P_j holds C_j = (x**n - 1) / P_j and h_j = C_j**-1 in F[x]/P_j."""
 
     def __init__(self, params: RingParams):
         self.params = params
@@ -339,26 +327,25 @@ def crt_split(tables: CosetTable, word) -> tuple[tuple, ...]:
 
 
 def crt_combine(tables: CosetTable, residues) -> tuple[int, ...]:
-    """Inverse of crt_split: per factor, c_v = sum_j Tr_j(r_j * x**-v) / n, as the trace of
-    F[x]/(x**n - 1) is sum_j Tr_j, taking x**k to n [n | k] (Lidl & Niederreiter, Finite Fields,
-    2.3).  Each nonzero coefficient y_w of r_j, any lift (x**R_j = 1 mod P_j), adds y_w times
-    its trace row's slice Tr_j(x**(w - v)) / n, v < n; no quotient-field product is taken."""
+    """Inverse of crt_split: per factor, sum(C_j * (h_j * r_j)) over the quotients j.
+    deg(h_j * r_j) < deg P_j = n - deg C_j, so no term needs reducing mod x**n - 1."""
     n, q = tables.params.n, tables.params.q
     if len(residues) != len(tables.blocks):
         raise ValueError("one residue group per factor required")
     colors = [0] * n
     for block, basis, group in zip(tables.blocks, tables.color_basis, residues):
         field = block.field
+        zero, add, mul = field.zero, field.add, field.mul
         if len(group) != len(block.quotients):
             raise ValueError("one residue per coset required")
-        coeffs = [field.zero] * n
-        for (r, row), residue in zip(block.traces, group):
-            for w, y in enumerate(residue):
-                if y != field.zero:
-                    part = row[r - 1 - w % r :]
-                    part = part if y == field.one else map(field.mul, itertools.repeat(y), part)
-                    coeffs = list(map(field.add, coeffs, part))
-        colors = [c + basis * field.to_index(a) for c, a in zip(colors, coeffs)]
+        coeffs = [zero] * n
+        for qctx, residue in zip(block.quotients, group):
+            for i, c in enumerate(qctx.field.mul(qctx.cofactor_inv, qctx.field.from_poly(residue))):
+                if c != zero:
+                    for k, cc in enumerate(qctx.cofactor, i):
+                        coeffs[k] = add(coeffs[k], mul(c, cc))
+        for v, c in enumerate(coeffs):
+            colors[v] += basis * field.to_index(c)
     return tuple(c % q for c in colors)
 
 

@@ -560,7 +560,12 @@ class QuotientFieldCtx:
     builds the log tree, proves that `primitive` generates; u is a unit, so the generator
     is primitive with no proof of its own, and generator**x_exponent == x_class checks the
     log (else InternalError).  The field has period R: x**R = 1 folds a product or
-    residue, so a dense Phi_p modulus costs a product one division row, not t - 1.
+    residue, so a dense Phi_p modulus costs a product one division row, not t - 1.  The
+    CRT `cofactor` C = (x**n - 1) / P is (x**R - 1) / P repeated every R places, as
+    x**n - 1 = (x**R - 1) * sum(x**(k*R), k < n/R); the period quotient's coefficient at
+    x**j is the top coordinate of x**(R-1-j), which the walk's times_x takes off by one
+    row of P, so nothing is divided by P.  `cofactor_inv` = C**-1 = x * P' / n mod P, as
+    n * x**(n-1) = P' * C mod P (d/dx of x**n - 1 = P * C) and x**n = 1; one product checks.
 
     `x_powers[k]`, the field's x**k mod P for k < R, is by the shift law generator**(k *
     x_exponent), the residue a rotation counter k stands for; x**(1 mod R) must be x_class,
@@ -578,6 +583,13 @@ class QuotientFieldCtx:
         self.x_class, self.x_powers = self.field.from_poly(polys.x(base_field)), self.field.x_powers
         if self.x_powers[1 % r] != self.x_class:
             raise OrderMismatchError(f"the powers of x do not close after x**{r}")
+        period_quot = tuple(power[-1] for power in reversed(self.x_powers))
+        self.cofactor = (period_quot * self.rep_gcd)[: n - self.field.degree + 1]
+        p, n_inv, from_index = base_field.p, pow(n, -1, base_field.p), base_field.from_index
+        self.cofactor_inv = self.field.from_poly(  # x * P' / n: P's coefficient u times u / n
+            [base_field.mul(from_index(u * n_inv % p), m) for u, m in enumerate(modulus)])
+        if self.field.mul(self.field.from_poly(self.cofactor), self.cofactor_inv) != self.field.one:
+            raise InternalError("x * P' / n does not invert the CRT cofactor")
         self.group_order = self.field.order - 1
         primitive, self._tree = find_primitive(self.field)
         self.x_exponent = self.group_order // self.rotation_order

@@ -49,10 +49,6 @@
   modulus by long division, and support_by_division reads its nonzero
   residues; crt_split and split_support sum one packed table entry per
   letter instead.
-- combine_by_cofactors inverts the split in Garner's cofactor form, with
-  each cofactor C_j = (x**n - 1) / P_j by long division and its inverse
-  mod P_j by the field's own inversion; crt_combine sums rows of traces
-  read off the quotients' x_powers instead.
 
 Tests compare each pair.
 """
@@ -175,27 +171,6 @@ def support_by_division(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]
               if residue != qctx.field.zero)
         for block, group in zip(tables.blocks, split_by_division(tables, word))
     )
-
-
-def combine_by_cofactors(tables: CosetTable, residues) -> tuple[int, ...]:
-    """Word whose residues are `residues`: per factor sum_j C_j * (C_j**-1 * r_j mod P_j),
-    C_j = (x**n - 1) / P_j (Garner, IRE Trans. Electronic Computers EC-8(2), 1959), and the
-    factors' colors joined by the integer CRT."""
-    n, q = tables.params.n, tables.params.q
-    colors = [0] * n
-    for block, group in zip(tables.blocks, residues):
-        field, qi = block.field, block.factor.value
-        total = ()
-        for qctx, residue in zip(block.quotients, group):
-            cofactor, rem = polys.divmod_(field, xn_minus_1(field, n), qctx.field.modulus)
-            assert rem == ()
-            h = qctx.field.inv(qctx.field.from_poly(cofactor))
-            lifted = qctx.field.mul(h, qctx.field.from_poly(residue))
-            total = poly_add(field, total, polys.mul(field, cofactor, lifted))
-        basis = q // qi * pow(q // qi, -1, qi)
-        for v, c in enumerate(total):
-            colors[v] += basis * field.to_index(c)
-    return tuple(c % q for c in colors)
 
 
 def residue_by_power(qctx: QuotientFieldCtx, log: int):

@@ -10,7 +10,6 @@ from necklacemap.cli import main
 from necklacemap.decomposition import build_tables, crt_combine
 from necklacemap.fields import QuotientFieldCtx
 from necklacemap.numtheory import RingParams
-from test_decomposition import perturb_a_power
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -189,19 +188,6 @@ class TestExitCodes:
         code, _, err = run(capsys, "map", "4", "15", ",".join(map(str, word)))
         assert code == 3
         assert "invariant" in err
-
-    def test_perturbed_trace_row_exits_3(self, capsys, monkeypatch):
-        # a walk of x's powers perturbed after set-up perturbs its trace row, which the
-        # certificate refuses at the first combine, in one line
-        def perturbed(params):
-            tables = build_tables(params)
-            perturb_a_power(tables)
-            return tables
-
-        monkeypatch.setattr(cli, "build_tables", perturbed)
-        code, out, err = run(capsys, "unmap", "3", "10", "6,9,9")
-        assert (code, out) == (3, "")
-        assert err == "internal invariant violated: the trace rows do not invert the split\n"
 
     @pytest.mark.parametrize("argv", [("count", "--strata", "93", "4"),
                                       ("--json", "count", "--strata", "255", "2")])

@@ -31,7 +31,6 @@ from necklacemap.fields import (
 )
 from necklacemap.numtheory import RingParams, euler_phi, factorize
 from reference import (
-    combine_by_cofactors,
     element_order,
     factor_by_splitting_field,
     poly_add,
@@ -312,8 +311,8 @@ class TestSetupCost:
         assert calls <= 1579
 
     def test_subtractions_per_build_of_63_2(self, monkeypatch):
-        # set-up builds no CRT cofactor and divides nothing by a quotient's P, so x**63 - 1
-        # is never divided by a factor
+        # a quotient divides nothing by its P: the CRT cofactor is (x**R - 1) / P, read off
+        # the walk of x's powers and repeated, so x**63 - 1 is never divided by a factor
         calls = 0
         sub = PrimeField.sub
 
@@ -496,92 +495,36 @@ class TestSetupProofs:
         assert inversions and not any(inversions)
 
 
-def seeded_residues(tables, seed: int) -> tuple[tuple, ...]:
-    """One random element of every quotient field, zeros and ones among them."""
-    rng = random.Random(seed)
-    return tuple(
-        tuple(q.field.from_index(rng.choice([0, 1, rng.randrange(q.field.order)]))
-              for q in block.quotients)
-        for block in tables.blocks
-    )
+def assert_cofactors(tables) -> int:
+    """Every quotient's cofactor is (x**n - 1) / P exactly, and cofactor_inv
+    inverts it; returns how many cofactors tile with gaps (period < n, degree > 1)."""
+    n, gapped = tables.params.n, 0
+    for block in tables.blocks:
+        for qctx in block.quotients:
+            quot, rem = polys.divmod_(block.field, xn_minus_1(block.field, n), qctx.field.modulus)
+            assert rem == () and qctx.cofactor == quot
+            cofactor = qctx.field.from_poly(qctx.cofactor)
+            assert qctx.field.mul(cofactor, qctx.cofactor_inv) == qctx.field.one
+            gapped += qctx.rotation_order < n and qctx.field.degree > 1
+    return gapped
 
 
-def perturb_a_power(tables) -> None:
-    """Add one to the constant coordinate of x**1 in the first quotient of period > 1,
-    after set-up: its trace row, filled at the first combine, comes out perturbed."""
-    block = tables.blocks[0]
-    qctx = next(q for q in block.quotients if q.rotation_order > 1)
-    power = (block.field.add(qctx.x_powers[1][0], block.field.one), *qctx.x_powers[1][1:])
-    qctx.x_powers = (qctx.x_powers[0], power, *qctx.x_powers[2:])
-
-
-class TestTraceCombine:
+class TestCofactors:
     @pytest.mark.parametrize("n,q", sorted(set(golden_instances()) | {(9, 2), (21, 4), (255, 2)}))
-    def test_combine_matches_cofactors(self, tables_for, n, q):
-        t = tables_for(n, q)
-        for seed in range(4):
-            residues = seeded_residues(t, 1000 * n + q + seed)
-            word = crt_combine(t, residues)
-            assert word == combine_by_cofactors(t, residues)
-            assert crt_split(t, word) == residues
+    def test_cofactor_is_the_quotient_of_x_n_minus_1(self, tables_for, n, q):
+        gapped = assert_cofactors(tables_for(n, q))
+        if (n, q) in ((63, 2), (33, 4), (21, 4), (255, 2)):
+            assert gapped
 
-    def test_tuple_base_matches_cofactors(self, monkeypatch):
-        # past TABLE_LIMIT the base GF(4) keeps tuples; coset {3, 12} of (15, 4) has
-        # period 5 and degree 2, so its trace row tiles a period shorter than n
+    def test_tuple_base_zeros_fill_the_gaps(self, monkeypatch):
+        # past TABLE_LIMIT the base GF(4) keeps tuples; coset {3, 12} of
+        # (15, 4) has period 5 and degree 2, so its cofactor tiles with a gap
         monkeypatch.setattr(fields, "TABLE_LIMIT", 3)
         t = build_tables(RingParams.create(15, 4))
         assert isinstance(t.blocks[0].field, ExtensionField)
-        assert any(q.rotation_order < 15 and q.field.degree > 1 for q in t.blocks[0].quotients)
-        for seed in range(4):
-            residues = seeded_residues(t, seed)
-            assert crt_combine(t, residues) == combine_by_cofactors(t, residues)
+        assert assert_cofactors(t)
         word = tuple(range(4)) * 3 + (3, 1, 2)
         assert crt_combine(t, crt_split(t, word)) == word
-
-    @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2), (13, 6), (21, 4), (11, 12)])
-    def test_rows_are_traces_over_n(self, tables_for, n, q):
-        # Tr(x**k) = sum over u of coordinate u of x**k * x**u, by the quotient's own product
-        for block in tables_for(n, q).blocks:
-            field = block.field
-            n_in_field = field.from_index(n % field.p)
-            for qctx, (r, row) in zip(block.quotients, block.traces):
-                qf, d = qctx.field, qctx.field.degree
-                assert r == qctx.rotation_order and len(row) == n + r - 1
-                basis = [qf.from_poly((field.zero,) * u + (field.one,)) for u in range(d)]
-                for k in range(r):
-                    xk = qf.pow(qctx.x_class, k)
-                    trace = field.zero
-                    for u in range(d):
-                        trace = field.add(trace, qf.mul(xk, basis[u])[u])
-                    for i in range(r - 1 - k, n + r - 1, r):
-                        assert field.mul(row[i], n_in_field) == trace, (qctx, k, i)
-
-    @pytest.mark.parametrize("n,q", [(5, 6), (63, 2), (33, 4)])
-    def test_certificate_refuses_a_perturbed_row(self, n, q):
-        t = build_tables(RingParams.create(n, q))
-        perturb_a_power(t)
-        with pytest.raises(InternalError, match="trace rows do not invert the split"):
-            crt_combine(t, crt_split(t, (1,) + (0,) * (n - 1)))
-
-    def test_combine_calls_no_quotient_field(self, tables_for, monkeypatch):
-        # rows come from x_powers by base sums, and a combine adds scaled rows: no product,
-        # packed product or reduction in F[x]/P_j, at the first combine or after it; only a
-        # tuple base field takes ExtensionField calls
-        built = [build_tables(RingParams.create(*key)) for key in [(5, 6), (63, 2), (33, 4), (17, 3)]]
-        monkeypatch.setattr(fields, "TABLE_LIMIT", 3)
-        built.append(build_tables(RingParams.create(15, 4)))  # tuple base GF(4)
-        calls = []
-        for name in ("mul", "_product", "from_poly"):
-            real = getattr(ExtensionField, name)
-            monkeypatch.setattr(ExtensionField, name,
-                                lambda self, *a, real=real: calls.append(self) or real(self, *a))
-        for t in built:
-            for seed in range(5):
-                residues = seeded_residues(t, seed)
-                del calls[:]
-                crt_combine(t, residues)
-                assert {id(f) for f in calls} <= {id(b.field) for b in t.blocks}
-        assert calls  # the tuple base's sums and products
 
 
 class TestCrt:
