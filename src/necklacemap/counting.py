@@ -35,15 +35,13 @@ def necklace_count(n: int, q: int) -> int:
 
 
 def binary_zero_sum_count(n: int) -> int:
-    """Number of subsets of Z_n with zero sum mod n, for odd n."""
+    """Number of subsets of Z_n with zero sum mod n, for odd n: by the correspondence at
+    q = 2 it is necklace_count(n, 2), every divisor of an odd n being odd."""
     if n < 1:
         raise ValueError("need positive n")
     if n % 2 == 0:
         raise EvenNError(f"the closed form is stated for odd n, got {n}")
-    total = sum(euler_phi(d) * 2 ** (n // d) for d in _divisors(n) if d % 2 == 1)
-    if total % n != 0:
-        raise InternalError("zero-sum subset count is not an integer")
-    return total // n
+    return necklace_count(n, 2)
 
 
 def stratum_count(tables: CosetTable, support) -> int:

@@ -181,12 +181,12 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
 
 
 class SplitTable:
-    """One factor's split (see crt_split).  rows[v][c] packs the F_p digits of c * x**v mod
-    every P_j (quotient after quotient, t per base coefficient, one w-byte slot each), filled
-    from the quotients' x_powers by int arithmetic, with no field product.  Where q_i > 256,
-    the base keeps tuples (past TABLE_LIMIT) or the rows would pass SPLIT_TABLE_BYTES
-    (q_i * n**2 * t * w bytes), rows is None and a word is reduced by one long division
-    per quotient instead."""
+    """One factor's split (see crt_split), read by residues alone.  rows[v][c] packs the F_p
+    digits of c * x**v mod every P_j (quotient after quotient, t per base coefficient, one
+    w-byte slot each, w = 1 or 2), filled from the quotients' x_powers by int arithmetic, with
+    no field product.  Where q_i > 256, the base keeps tuples (past TABLE_LIMIT) or the rows
+    would pass SPLIT_TABLE_BYTES (q_i * n**2 * t * w bytes), rows is None and a word is
+    reduced by one long division per quotient instead."""
 
     def __init__(self, field: Field, quotients, n: int):
         self.field, self.quotients, self.n = field, quotients, n
@@ -194,11 +194,10 @@ class SplitTable:
         ends = list(itertools.accumulate(q.field.degree for q in quotients))
         self.spans = tuple(map(slice, [0] + ends, ends))  # each quotient's coefficients
         # a slot's largest value: a word's sum of n digits (p = 2 XORs them) or the build's of
-        # two; its alpha steps reach p * (p - 1) < 256, as t > 1 and q_i <= 256 leave p <= 16
-        bound, self.w = 2 if p == 2 else max(n, 2) * (p - 1), 1
-        while bound >> 8 * self.w:
-            self.w *= 2
-        w, self.size, self.slots, self.rows = self.w, n * t * self.w, n * t, None
+        # two; its alpha steps reach p * (p - 1) < 256, as t > 1 and q_i <= 256 leave p <= 16.
+        # Rows inside SPLIT_TABLE_BYTES keep n * (p - 1) < 2**16, so two bytes always do
+        self.w = w = 1 if p == 2 or max(n, 2) * (p - 1) < 256 else 2
+        self.size, self.slots, self.rows = n * t * w, n * t, None
         if qi > 256 or isinstance(field, ExtensionField) or qi * n * self.size > SPLIT_TABLE_BYTES:
             return
         self.codec = codec = SlotCodec(p, w, n * n * t)
@@ -226,30 +225,18 @@ class SplitTable:
             for v, row in enumerate(self.rows):
                 row.append(int.from_bytes(blob[v * self.size : (v + 1) * self.size], "little"))
 
-    def _indices(self, word) -> bytes:
-        """The index of each coefficient of the word's residues, one byte each: summed times
-        p**k, the digit planes carry into no neighbour, as every index is below q_i <= 256."""
-        picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
-        total = functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks)
-        digits = self.codec.digits(total, self.slots)
-        if self.t == 1:
-            return digits
-        planes = (int.from_bytes(digits[k :: self.t], "little") * self.p**k for k in range(self.t))
-        return sum(planes).to_bytes(self.n, "little")
-
     def residues(self, word) -> tuple:
         if self.rows is None:
             coeffs = [self.field.from_index(c % self.qi) for c in word]
             return tuple(q.field.from_poly(coeffs) for q in self.quotients)
-        indices = self._indices(word)  # a base element of a field this small is its index
-        return tuple(tuple(indices[span]) for span in self.spans)
-
-    def support(self, word) -> tuple[int, ...]:
-        if self.rows is None:
-            pairs = enumerate(zip(self.quotients, self.residues(word)))
-            return tuple(j for j, (q, residue) in pairs if residue != q.field.zero)
-        indices = self._indices(word)
-        return tuple(j for j, span in enumerate(self.spans) if any(indices[span]))
+        picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
+        total = functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks)
+        indices = self.codec.digits(total, self.slots)
+        if self.t > 1:  # summed times p**k, the planes carry into no neighbour: indices < 256
+            t, p = self.t, self.p
+            planes = (int.from_bytes(indices[k::t], "little") * p**k for k in range(t))
+            indices = sum(planes).to_bytes(self.n, "little")
+        return tuple(tuple(indices[span]) for span in self.spans)  # a base element is its index
 
 
 @dataclass(frozen=True)
@@ -321,7 +308,7 @@ def crt_split(tables: CosetTable, word) -> tuple[tuple, ...]:
     SplitTable rows, one per letter, then each F_p digit slot is reduced mod p (a
     bytes.translate for byte slots) and the digit planes are summed into the base
     coefficients' indices.  A slot takes a byte while max(n, 2) * (p - 1) < 256, at any n
-    for p = 2 (rows XOR), else 2, 4 or 8.  A factor with no table divides instead."""
+    for p = 2 (rows XOR), else two.  A factor with no table divides instead."""
     word = tables.check_word(word)
     return tuple(block.split.residues(word) for block in tables.blocks)
 

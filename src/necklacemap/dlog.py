@@ -59,10 +59,13 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
 
 
 def split_support(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
-    """The support of profile(tables, word), with no log: each quotient's coefficients in
-    crt_split's packed sum tested for zero, or its residue where the factor divides."""
-    word = tables.check_word(word)
-    return tuple(block.split.support(word) for block in tables.blocks)
+    """The support of profile(tables, word), with no log: the zero pattern of
+    crt_split(tables, word), which quotients hold a nonzero residue."""
+    return tuple(
+        tuple(j for j, (qctx, residue) in enumerate(zip(block.quotients, group))
+              if residue != qctx.field.zero)
+        for block, group in zip(tables.blocks, crt_split(tables, word))
+    )
 
 
 def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueProfile:

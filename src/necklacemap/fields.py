@@ -89,13 +89,13 @@ class PrimeField:
 
 
 class SlotCodec:
-    """F_p digits in w-byte little-endian slots of one int, w in (1, 2, 4, 8): packed, and
-    reduced slot by slot mod p, by an AND for p = 2 (on at most `slots` slots), a
-    bytes.translate for one-byte slots, and one residue per slot where wider; or unpacked
-    to one byte per reduced digit.  ExtensionField's kernel and SplitTable share it."""
+    """F_p digits in w-byte little-endian slots of one int, w = 1 or 2 (no caller needs more):
+    packed, and reduced slot by slot mod p, by an AND for p = 2 (on at most `slots` slots), a
+    bytes.translate for one-byte slots, and one residue per two-byte slot; or unpacked to one
+    byte per reduced digit.  ExtensionField's kernel and SplitTable share it."""
 
     def __init__(self, p: int, w: int, slots: int = 0):
-        self.p, self.w, self._code = p, w, "BHIQ"[w.bit_length() - 1]
+        self.p, self.w, self._code = p, w, "BH"[w - 1]
         self._mod = bytes(v % p for v in range(256))
         self._ones = int.from_bytes((b"\1" + bytes(w - 1)) * slots, "little")
 

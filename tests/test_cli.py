@@ -1,5 +1,8 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -254,6 +257,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "map", "3", "10", "1,1,1")
         assert (code, out) == (1, "")
         assert err == "error: ran out of memory\n"
+
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self):
+        # about 300 KB of strata, more than a pipe buffer holds, so a print meets the closed pipe
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "necklacemap", "count", "--strata", "63", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"necklaces(63,2) = 146402730743793240\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestJson:

@@ -675,6 +675,17 @@ class TestPackedSplit:
         table = tables_for(21, 256).blocks[0].split  # 256 * 21**2 * 8 = 903 168 bytes
         assert sum(map(len, table.rows)) == 256 * 21 and table.size == 21 * 8
 
+    def test_no_table_inside_the_budget_needs_a_wider_slot(self):
+        # a slot past two bytes needs max(n, 2) * (p - 1) >= 2**16; for every odd p**t <= 256
+        # the least such n puts the rows, q_i * n**2 * t * 2 bytes, past SPLIT_TABLE_BYTES
+        powers = [f for qi in range(3, 257) for f in factorize(qi) if f.value == qi and f.p > 2]
+        assert len(powers) == 62  # 53 odd primes and 9 higher powers
+        for f in powers:
+            n = -(-(1 << 16) // (f.p - 1))
+            assert f.value * n * n * f.t * 2 > decomposition.SPLIT_TABLE_BYTES, f
+            table = SplitTable(build_field(f.p, f.t), (), n)
+            assert (table.w, table.rows) == (2, None), f
+
 
 class TestShift:
     def test_basic(self):
