@@ -320,11 +320,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    """main, then exit with its code; a reader that closed stdout early gets exit 1 and no
-    traceback, stdout then pointing at devnull so that the exit flush cannot raise again."""
+    """main, then exit with its code. A reader that closed stdout early gets exit 1 and no
+    traceback (stdout then points at devnull, so the exit flush cannot raise again); a run
+    started with stdout closed has sys.stdout None, prints nothing and exits with main's code."""
     try:
         code = main(sys.argv[1:])
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1

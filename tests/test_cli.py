@@ -258,16 +258,35 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: ran out of memory\n"
 
-    def test_closed_stdout_exits_1_with_nothing_on_stderr(self):
-        # about 300 KB of strata, more than a pipe buffer holds, so a print meets the closed pipe
+    @staticmethod
+    def module_run():
+        """argv prefix and environment that run this checkout's package with python -m."""
         paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        argv = [sys.executable, "-m", "necklacemap", "count", "--strata", "63", "2"]
+        return [sys.executable, "-m", "necklacemap"], env
+
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self):
+        # about 300 KB of strata, more than a pipe buffer holds, so a print meets the closed pipe
+        prefix, env = self.module_run()
+        argv = prefix + ["count", "--strata", "63", "2"]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
             assert proc.stdout.readline() == b"necklaces(63,2) = 146402730743793240\n"
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (1, b"")
+
+    def test_stdout_closed_at_start_exits_with_the_commands_code(self):
+        # with fd 1 closed before start-up, sys.stdout is None and print writes nothing
+        prefix, env = self.module_run()
+        done = subprocess.run(
+            prefix + ["count", "3", "10"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            preexec_fn=lambda: os.close(1),
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestJson:
