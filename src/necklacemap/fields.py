@@ -391,7 +391,8 @@ def _powers(flat: ExtensionField, g) -> list:
 
 Field = Union[PrimeField, TableField, ExtensionField]
 TABLE_LIMIT = 1 << 20  # the largest order that build_field tabulates
-BABY_TABLE_DIGITS = 1 << 22  # the most baby-table entries times F_p digits per element
+BABY_TABLE_DIGITS = 1 << 22  # the most entries times F_p digits per element of one leaf's table
+WHOLE_TABLE_ORDER = 64  # a log leaf of at most this order tables its whole subgroup
 
 
 def build_field(p: int, t: int) -> Field:
@@ -488,13 +489,20 @@ def _with_tables(field, node: tuple) -> tuple:
     return (a, b, a_inv, _with_tables(field, left), _with_tables(field, right))
 
 
+def _baby_steps(order: int) -> int:
+    """Baby-table entries for a group of this order: all of it up to WHOLE_TABLE_ORDER,
+    else ceil(sqrt(order))."""
+    return order if order <= WHOLE_TABLE_ORDER else math.isqrt(order - 1) + 1
+
+
 def baby_table(field, g, order: int) -> tuple[dict, object]:
     """Baby-step giant-step data for the group of order `order` generated by g.
 
-    Returns (babies, giant): babies maps g**j to j for j < m =
-    ceil(sqrt(order)), and giant is g**-m, taken as g**(order - m).
+    Returns (babies, giant): babies maps g**j to j for j < m = _baby_steps(order),
+    and giant is g**-m, taken as g**(order - m).  Up to WHOLE_TABLE_ORDER, m is the
+    order: babies holds the whole group and giant is one, never taken.
     """
-    m = math.isqrt(order - 1) + 1
+    m = _baby_steps(order)
     codec, table, giant = getattr(field, "_codec", None), {}, field.pow(g, order - m)
     if codec:  # a packed field's table and giant are packed, and its kernel takes the steps
         mul, acc, g, giant = field._product, codec.pack(field.one), codec.pack(g), codec.pack(giant)
@@ -509,13 +517,14 @@ def baby_table(field, g, order: int) -> tuple[dict, object]:
 def discrete_log(field, y, order: int, babies: dict, giant) -> int:
     """Log of y in [0, order) from babies, giant = baby_table(field, g, order).
 
-    The base is g.  Baby-step giant-step (Shanks, 1971): at most
-    ceil(sqrt(order)) + 1 giant steps, each one multiplication and one
-    table lookup.  QuotientFieldCtx runs it only in prime-power subgroups.
+    The base is g.  Baby-step giant-step (Shanks, 1971): at most m + 1 table
+    lookups with a giant step between two, m = _baby_steps(order), so a group of
+    at most WHOLE_TABLE_ORDER is one lookup and no product.  QuotientFieldCtx runs
+    it only in prime-power subgroups.
     """
     if y == field.zero:
         raise ZeroElementError("zero is outside the unit group")
-    m, mul, acc = math.isqrt(order - 1) + 1, field.mul, y
+    m, mul, acc = _baby_steps(order), field.mul, y
     if getattr(field, "_codec", None):  # packed, as baby_table packs its table
         mul, acc = field._product, field._codec.pack(y)
     for i in range(m + 1):
@@ -549,9 +558,12 @@ class QuotientFieldCtx:
     1978) down the tree that proved the primitive, over the one factorization of
     group_order: a balanced binary tree of its prime powers p**e, with CRT joins at the
     nodes and baby-step giant-step in each p**e subgroup at the leaves, whose tables are
-    filled at the first dlog (_log_tree); dlog scales by u**-1.  A log costs about sqrt of
-    the largest p**e plus a few exponentiations per tree level; no table spans the group,
-    and one past BABY_TABLE_DIGITS is refused before any is filled.
+    filled at the first dlog (_log_tree); dlog scales by u**-1.  A leaf of order at most
+    WHOLE_TABLE_ORDER tables its whole subgroup and logs by one lookup; a larger one holds
+    ceil(sqrt(p**e)) entries and takes up to as many giant steps.  So a log costs about
+    sqrt of the largest p**e past WHOLE_TABLE_ORDER plus a few exponentiations per tree
+    level; no table spans a node or the group, and a tree with one leaf table past
+    BABY_TABLE_DIGITS is refused before any is filled.
 
     Set-up proves each fact once (else OrderMismatchError, with the field's message):
     ExtensionField's period certificate, whose walk of x's powers proves P | x**R - 1 and
@@ -616,12 +628,12 @@ class QuotientFieldCtx:
         """find_primitive's tree with its leaves' baby tables, filled at the first dlog."""
         def orders(node):  # of the leaves
             return [node[0]] if len(node) == 2 else orders(node[3]) + orders(node[4])
-        largest, f = max(orders(self._tree)), self.field
-        entries, digits = math.isqrt(largest - 1) + 1, round(math.log(f.order, f.p))
+        widest, f = max(orders(self._tree), key=_baby_steps), self.field
+        entries, digits = _baby_steps(widest), round(math.log(f.order, f.p))
         if entries * digits > BABY_TABLE_DIGITS:
             raise EnvelopeExceededError(
                 f"a log in GF({f.p}^{digits}) needs a {entries}-entry baby-step table "
-                f"for its subgroup of order {largest}, past {BABY_TABLE_DIGITS} F_p digits")
+                f"for its subgroup of order {widest}, past {BABY_TABLE_DIGITS} F_p digits")
         return _with_tables(f, self._tree)
 
     def dlog(self, y) -> int:

@@ -1,9 +1,12 @@
 """Exact integer number theory shared by all other modules.
 
-factorize is plain trial division: on m it stops after about
-max(second-largest prime, sqrt(largest prime)) steps, so set-up factors
-unit-group orders such as 2**100 - 1 (largest prime 268 501) quickly, but
-nothing bounds that cost on other orders yet.
+is_prime is deterministic Miller-Rabin below MILLER_RABIN_BOUND and trial
+division at and above it.  factorize is trial division that stops at the
+divisor 1001 if the cofactor left there is prime; otherwise it takes about
+max(second-largest prime, sqrt(largest prime)) steps.  So set-up factors
+unit-group orders such as 2**100 - 1 (largest prime 268 501) and primes
+such as 2**61 - 1 quickly, but nothing bounds the cost of an m whose
+cofactor at 1001 is composite yet.
 """
 
 from __future__ import annotations
@@ -31,9 +34,30 @@ class PrimePowerFactor:
         return iter((self.p, self.t))
 
 
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981  # least strong pseudoprime to all SMALL_PRIMES
+
+
 def is_prime(m: int) -> bool:
-    """Primality by factorize's trial division, fine for desk-scale inputs."""
-    return m >= 2 and factorize(m) == [PrimePowerFactor(m, 1)]
+    """Primality of m: below MILLER_RABIN_BOUND by trial division by SMALL_PRIMES, then
+    Miller-Rabin to each of them as a base, which no composite there passes (Sorenson and
+    Webster, Math. Comp. 86(304), 2017); at and above it by factorize's trial division."""
+    if m >= MILLER_RABIN_BOUND:
+        return factorize(m) == [PrimePowerFactor(m, 1)]
+    if m < 2 or any(m % p == 0 for p in SMALL_PRIMES):
+        return m in SMALL_PRIMES
+    s = ((m - 1) & -(m - 1)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+    for a in SMALL_PRIMES:
+        x = pow(a, (m - 1) >> s, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(m: int, order: str = "desc") -> list[PrimePowerFactor]:
@@ -50,6 +74,8 @@ def factorize(m: int, order: str = "desc") -> list[PrimePowerFactor]:
     rest = m
     d = 2
     while d * d <= rest:
+        if d == 1001 and rest < MILLER_RABIN_BOUND and is_prime(rest):
+            break
         if rest % d == 0:
             t = 0
             while rest % d == 0:

@@ -45,6 +45,10 @@
 - residue_by_power raises a quotient's generator to a whole log;
   unmap_function takes x**turns from x_powers and raises the generator
   only to the offset.
+- factorize_by_trial divides by 2 and every odd d while d**2 is at most
+  the cofactor, and is_prime_by_trial asks whether its list is m itself;
+  numtheory.is_prime runs Miller-Rabin below its bound, and factorize
+  stops its trial division once the cofactor past 1001 is prime.
 - split_by_division reduces the word's polynomial modulo every quotient's
   modulus by long division, and support_by_division reads its nonzero
   residues; crt_split and split_support sum one packed table entry per
@@ -75,7 +79,7 @@ from necklacemap.errors import (
     ZeroElementError,
 )
 from necklacemap.fields import QuotientFieldCtx, extend_field, find_primitive, xn_minus_1
-from necklacemap.numtheory import factorize
+from necklacemap.numtheory import PrimePowerFactor, factorize
 
 
 def map_necklace_by_trial(tables: CosetTable, word) -> tuple[int, ...]:
@@ -382,3 +386,28 @@ def units_by_search(tables: CosetTable, support) -> tuple[int, ...]:
             f"no diagonal unit tuple matches gcd for support {key} at n={n}"
         )
     return tuple(picked)
+
+
+def is_prime_by_trial(m: int) -> bool:
+    """Primality by factorize_by_trial."""
+    return m >= 2 and factorize_by_trial(m) == [PrimePowerFactor(m, 1)]
+
+
+def factorize_by_trial(m: int, order: str = "desc") -> list[PrimePowerFactor]:
+    """Prime-power factorization of m >= 1 by trial division to the cofactor's square root,
+    ordered by p**t as factorize orders it."""
+    factors = []
+    rest = m
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            t = 0
+            while rest % d == 0:
+                rest //= d
+                t += 1
+            factors.append(PrimePowerFactor(d, t))
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        factors.append(PrimePowerFactor(rest, 1))
+    factors.sort(key=lambda f: f.value, reverse=(order == "desc"))
+    return factors

@@ -1,12 +1,15 @@
+import math
 import random
 from itertools import product
 
 import pytest
 
-from necklacemap.decomposition import shift
+from necklacemap import fields
+from necklacemap.decomposition import build_tables, shift
 from necklacemap.dlog import profile, rotate_profile, split_log
-from necklacemap.errors import ZeroElementError
-from necklacemap.fields import ExtensionField, PrimeField, QuotientFieldCtx
+from necklacemap.errors import EnvelopeExceededError, ZeroElementError
+from necklacemap.fields import ExtensionField, PrimeField, QuotientFieldCtx, discrete_log
+from necklacemap.numtheory import RingParams
 from reference import dlog_by_bsgs
 
 
@@ -126,6 +129,67 @@ class TestPohligHellman:
         for y in units:
             qc.dlog(y)
         assert 0 < calls / len(units) < 95
+
+
+def tree_leaves(node):
+    """The leaves of a log tree: (order, h), or (order, babies, giant) once filled."""
+    return [node] if len(node) < 5 else tree_leaves(node[3]) + tree_leaves(node[4])
+
+
+class TestLeafTables:
+    @pytest.mark.parametrize("n,q,order", [(5, 6, 81), (7, 10, 5**6)])
+    def test_small_leaf_logs_by_one_lookup(self, tables_for, monkeypatch, n, q, order):
+        # every leaf here is at most WHOLE_TABLE_ORDER: its table holds its whole subgroup,
+        # and after the first log a leaf's log makes no product
+        (qc,) = [qc for _, _, qc in all_quotients(tables_for(n, q)) if qc.field.order == order]
+        qc.dlog(qc.generator)
+        leaves = tree_leaves(qc._log_tree)
+        assert all(leaf[0] <= fields.WHOLE_TABLE_ORDER for leaf in leaves)
+        field, calls, mul = qc.field, 0, ExtensionField.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        for leaf_order, babies, giant in leaves:
+            assert len(babies) == leaf_order and giant == field.one
+            h = next(y for y, j in babies.items() if j == 1)
+            powers = [field.pow(h, k) for k in range(leaf_order)]
+            with monkeypatch.context() as patched:
+                patched.setattr(ExtensionField, "mul", counted)
+                logs = [discrete_log(field, y, leaf_order, babies, giant) for y in powers]
+            assert logs == list(range(leaf_order)) and calls == 0
+
+    def test_refusal_names_the_leaf_of_most_entries(self, monkeypatch):
+        # (17,3)'s GF(3**16) has leaves 64, 5, 17, 41 and 193: the leaf of order 64 tables
+        # its whole subgroup, 64 entries, and the largest leaf only ceil(sqrt(193)) = 14, so
+        # the bound is checked against the widest table, not the largest leaf
+        def entries(order):
+            return order if order <= fields.WHOLE_TABLE_ORDER else math.isqrt(order - 1) + 1
+
+        qc = build_tables(RingParams.create(17, 3)).blocks[0].quotients[1]
+        orders = [leaf[0] for leaf in tree_leaves(qc._tree)]
+        assert sorted(orders) == [5, 17, 41, 64, 193]
+        widest = max(orders, key=entries)
+        assert widest != 193
+        monkeypatch.setattr(fields, "BABY_TABLE_DIGITS", entries(widest) * 16 - 1)
+        with pytest.raises(EnvelopeExceededError, match=f"order {widest},"):
+            qc.dlog(qc.generator)
+        monkeypatch.setattr(fields, "BABY_TABLE_DIGITS", entries(widest) * 16)
+        assert qc.dlog(qc.generator) == 1
+
+    def test_giant_steps_log_a_whole_group(self, monkeypatch):
+        # with no leaf small enough to table whole, GF(81)'s leaves 16 and 5 take giant
+        # steps, and every unit's log still matches whole-group BSGS
+        monkeypatch.setattr(fields, "WHOLE_TABLE_ORDER", 1)
+        qc = build_tables(RingParams.create(5, 3)).blocks[0].quotients[1]
+        assert qc.group_order == 80
+        leaves = tree_leaves(qc._log_tree)
+        assert sorted((order, len(babies)) for order, babies, _ in leaves) == [(5, 3), (16, 4)]
+        for i in range(1, qc.field.order):
+            y = qc.field.from_index(i)
+            assert qc.dlog(y) == dlog_by_bsgs(qc.field, qc.generator, y, 80)
 
 
 class TestSplitLog:

@@ -797,17 +797,22 @@ class TestLogTables:
         "n,q,orders", [(7, 10, [5, 5**6, 8, 8]), (11, 12, [4, 4**5, 4**5, 3, 3**5, 3**5])]
     )
     def test_oversized_table_is_refused_before_any_is_filled(self, monkeypatch, n, q, orders):
-        # each nontrivial quotient needs entries * F_p digits for its largest leaf, the
+        # each nontrivial quotient needs entries * F_p digits for its leaf of most entries,
+        # the whole subgroup up to WHOLE_TABLE_ORDER and ceil(sqrt(order)) above it, the
         # digits counted over F_p also over the table base GF(4): one below that, its
         # first log is refused, naming the field and the prime power, and no table is
         # filled; at that value, the log is taken
+        def entries(order):
+            return order if order <= fields.WHOLE_TABLE_ORDER else math.isqrt(order - 1) + 1
+
         quotients = [qctx for block in build_tables(RingParams.create(n, q)).blocks
                      for qctx in block.quotients if qctx.group_order > 1]
         assert [qctx.field.order for qctx in quotients] == orders
         for qctx in quotients:
             f, largest = qctx.field, max(pp.value for pp in factorize(qctx.group_order))
             digits = f.degree * (1 if isinstance(f.base, PrimeField) else f.base.degree)
-            need = (math.isqrt(largest - 1) + 1) * digits
+            widest = max(leaf_orders(qctx._tree), key=entries)
+            need = entries(widest) * digits
             assert f.p**digits == f.order and largest == max(leaf_orders(qctx._tree))
             with monkeypatch.context() as patched:
                 self.forbid_logs(patched)
@@ -815,7 +820,7 @@ class TestLogTables:
                 with pytest.raises(EnvelopeExceededError) as refused:
                     qctx.dlog(qctx.generator)
             assert f"GF({f.p}^{digits})" in str(refused.value)
-            assert f"order {largest}," in str(refused.value)
+            assert f"order {widest}," in str(refused.value)
             monkeypatch.setattr(fields, "BABY_TABLE_DIGITS", need)
             assert qctx.dlog(qctx.generator) == 1
 
