@@ -24,8 +24,9 @@ unity, constrained generator) is pinned to the first hit in the canonical
 enumeration, which counts coefficients lexicographically from the low
 constant upward.  That keeps the whole construction reproducible.  The
 primitive element's order is proved by one walk down the Pohlig-Hellman
-tree of N = |F*|; a quotient field's logs take that same tree, its tables
-filled at the first log, and its set-up reads x's log from x's powers.
+tree of N = |F*|; a quotient field's logs take that same tree, or one table
+of the whole group where N is at most WHOLE_TABLE_ORDER, its tables filled
+at the first log, and its set-up reads x's log from x's powers.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def _powers(flat: ExtensionField, g) -> list:
 Field = Union[PrimeField, TableField, ExtensionField]
 TABLE_LIMIT = 1 << 20  # the largest order that build_field tabulates
 BABY_TABLE_DIGITS = 1 << 22  # the most entries times F_p digits per element of one leaf's table
-WHOLE_TABLE_ORDER = 64  # a log leaf of at most this order tables its whole subgroup
+WHOLE_TABLE_ORDER = 64  # a log leaf or a quotient's unit group up to this order is tabled whole
 
 
 def build_field(p: int, t: int) -> Field:
@@ -520,7 +521,8 @@ def discrete_log(field, y, order: int, babies: dict, giant) -> int:
     The base is g.  Baby-step giant-step (Shanks, 1971): at most m + 1 table
     lookups with a giant step between two, m = _baby_steps(order), so a group of
     at most WHOLE_TABLE_ORDER is one lookup and no product.  QuotientFieldCtx runs
-    it only in prime-power subgroups.
+    it at its tree's leaves: prime-power subgroups, or a whole unit group of at
+    most WHOLE_TABLE_ORDER.
     """
     if y == field.zero:
         raise ZeroElementError("zero is outside the unit group")
@@ -560,10 +562,12 @@ class QuotientFieldCtx:
     nodes and baby-step giant-step in each p**e subgroup at the leaves, whose tables are
     filled at the first dlog (_log_tree); dlog scales by u**-1.  A leaf of order at most
     WHOLE_TABLE_ORDER tables its whole subgroup and logs by one lookup; a larger one holds
-    ceil(sqrt(p**e)) entries and takes up to as many giant steps.  So a log costs about
-    sqrt of the largest p**e past WHOLE_TABLE_ORDER plus a few exponentiations per tree
-    level; no table spans a node or the group, and a tree with one leaf table past
-    BABY_TABLE_DIGITS is refused before any is filled.
+    ceil(sqrt(p**e)) entries and takes up to as many giant steps.  A group_order of at most
+    WHOLE_TABLE_ORDER keeps find_primitive's tree only as the proof: its log tree is the
+    one leaf (group_order, primitive), so each log is one lookup with no power and no
+    join.  Past it, a log costs about sqrt of the largest p**e past WHOLE_TABLE_ORDER
+    plus a few exponentiations per tree level, and no table spans a node.  A tree with
+    one leaf table past BABY_TABLE_DIGITS is refused before any is filled.
 
     Set-up proves each fact once (else OrderMismatchError, with the field's message):
     ExtensionField's period certificate, whose walk of x's powers proves P | x**R - 1 and
@@ -604,6 +608,8 @@ class QuotientFieldCtx:
             raise InternalError("x * P' / n does not invert the CRT cofactor")
         self.group_order = self.field.order - 1
         primitive, self._tree = find_primitive(self.field)
+        if self.group_order <= WHOLE_TABLE_ORDER:  # the tree was the proof; one table logs
+            self._tree = (self.group_order, primitive)
         self.x_exponent = self.group_order // self.rotation_order
         u = self._log_of_x(primitive) // self.x_exponent  # a unit mod R: one of its lifts
         u = next(v for v in range(u, u + self.group_order, self.rotation_order)  # is one mod N
@@ -625,7 +631,8 @@ class QuotientFieldCtx:
 
     @functools.cached_property
     def _log_tree(self) -> tuple:
-        """find_primitive's tree with its leaves' baby tables, filled at the first dlog."""
+        """The log tree, _tree, with its leaves' baby tables, filled at the first dlog:
+        find_primitive's tree, or the one leaf of the whole group up to WHOLE_TABLE_ORDER."""
         def orders(node):  # of the leaves
             return [node[0]] if len(node) == 2 else orders(node[3]) + orders(node[4])
         widest, f = max(orders(self._tree), key=_baby_steps), self.field

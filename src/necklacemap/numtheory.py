@@ -1,12 +1,14 @@
 """Exact integer number theory shared by all other modules.
 
 is_prime is deterministic Miller-Rabin below MILLER_RABIN_BOUND and trial
-division at and above it.  factorize is trial division that stops at the
-divisor 1001 if the cofactor left there is prime; otherwise it takes about
-max(second-largest prime, sqrt(largest prime)) steps.  So set-up factors
-unit-group orders such as 2**100 - 1 (largest prime 268 501) and primes
-such as 2**61 - 1 quickly, but nothing bounds the cost of an m whose
-cofactor at 1001 is composite yet.
+division at and above it.  factorize is trial division that asks is_prime
+about the cofactor at the divisor 1001, and again after each factor past
+1001 is divided out, and stops once the cofactor is prime.  So where m's
+largest prime divides it once, it takes about max(1001, second-largest
+prime) steps.  Set-up factors unit-group orders such as 2**100 - 1 (largest
+prime 268 501), primes such as 2**61 - 1 and products such as
+2 * 1009 * 1000000000002767 quickly, but nothing bounds the cost of an m
+with two large primes, or of a cofactor past MILLER_RABIN_BOUND.
 """
 
 from __future__ import annotations
@@ -71,11 +73,13 @@ def factorize(m: int, order: str = "desc") -> list[PrimePowerFactor]:
     if order not in ("asc", "desc"):
         raise ValueError(f"unknown factor order {order!r}")
     factors = []
-    rest = m
+    rest, asked = m, 0  # asked: the last cofactor checked past 1001, not found prime
     d = 2
     while d * d <= rest:
-        if d == 1001 and rest < MILLER_RABIN_BOUND and is_prime(rest):
-            break
+        if d >= 1001 and rest != asked:
+            if rest < MILLER_RABIN_BOUND and is_prime(rest):
+                break
+            asked = rest
         if rest % d == 0:
             t = 0
             while rest % d == 0:

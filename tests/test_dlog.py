@@ -9,7 +9,7 @@ from necklacemap.decomposition import build_tables, shift
 from necklacemap.dlog import profile, rotate_profile, split_log
 from necklacemap.errors import EnvelopeExceededError, ZeroElementError
 from necklacemap.fields import ExtensionField, PrimeField, QuotientFieldCtx, discrete_log
-from necklacemap.numtheory import RingParams
+from necklacemap.numtheory import RingParams, factorize
 from reference import dlog_by_bsgs
 
 
@@ -190,6 +190,52 @@ class TestLeafTables:
         for i in range(1, qc.field.order):
             y = qc.field.from_index(i)
             assert qc.dlog(y) == dlog_by_bsgs(qc.field, qc.generator, y, 80)
+
+
+def small_split_groups(tables):
+    """(block, index, quotient) for each unit group of at most WHOLE_TABLE_ORDER elements
+    with two or more prime factors, whose primitive find_primitive proves at a tree node."""
+    return [(i, j, qc) for i, j, qc in all_quotients(tables)
+            if qc.group_order <= fields.WHOLE_TABLE_ORDER and len(factorize(qc.group_order)) > 1]
+
+
+SMALL_SPLIT_PAIRS = [(5, 2), (3, 10), (9, 2), (7, 4)]  # GF(16), GF(25), GF(64), GF(64) twice
+
+
+class TestWholeGroupLeaf:
+    @pytest.mark.parametrize("n,q", SMALL_SPLIT_PAIRS)
+    def test_whole_group_logs_by_one_lookup(self, tables_for, monkeypatch, n, q):
+        # the log tree is one leaf of the whole group, and after the first log a log makes
+        # no product and no power
+        quotients = small_split_groups(tables_for(n, q))
+        assert quotients
+        for _, _, qc in quotients:
+            field, order = qc.field, qc.group_order
+            assert len(qc._tree) == 2 and qc._tree[0] == order
+            assert qc.dlog(qc.generator) == 1
+            units = [field.from_index(i) for i in range(1, field.order)]
+            calls = []
+            with monkeypatch.context() as patched:
+                for name in ("mul", "pow"):
+                    patched.setattr(ExtensionField, name, lambda *a, name=name: calls.append(name))
+                logs = [qc.dlog(y) for y in units]
+            assert calls == []
+            assert logs == [dlog_by_bsgs(field, qc.generator, y, order) for y in units]
+
+    @pytest.mark.parametrize("n,q", SMALL_SPLIT_PAIRS)
+    def test_tree_walk_below_the_whole_table_order(self, tables_for, monkeypatch, n, q):
+        # with WHOLE_TABLE_ORDER below every such group, the same quotients log down
+        # find_primitive's tree, with CRT joins, and every unit's log and the generator agree
+        whole = small_split_groups(tables_for(n, q))
+        below = min(qc.group_order for *_, qc in whole) - 1
+        monkeypatch.setattr(fields, "WHOLE_TABLE_ORDER", below)
+        tables = build_tables(RingParams.create(n, q))
+        for i, j, qc in whole:
+            walked = tables.blocks[i].quotients[j]
+            assert len(walked._tree) == 5 and walked.generator == qc.generator
+            for k in range(1, qc.field.order):
+                y = qc.field.from_index(k)
+                assert walked.dlog(y) == qc.dlog(y)
 
 
 class TestSplitLog:

@@ -73,3 +73,23 @@ def test_bound_is_the_least_pseudoprime_to_all_bases():
 def test_composite_cofactor_past_the_check_keeps_dividing():
     for m in (1009 * 1013, 1009**2, 1009**3 * 1013, 7 * 1013 * 1019 * 1021):
         assert factorize(m) == factorize_by_trial(m)
+
+
+def test_cofactor_is_asked_again_after_each_factor_past_1001(monkeypatch):
+    # q - 1 = 2 * 1009 * 1000000000002767 for the prime q of `cosets 2 2018000000005583807`:
+    # the cofactor at 1001 is composite, and prime once 1009 is divided out, where trial
+    # division would run on to its square root, about 3.2 * 10**7
+    asked = []
+    monkeypatch.setattr(numtheory, "is_prime", lambda m: asked.append(m) or is_prime(m))
+    assert factorize(2 * 1009 * 1000000000002767) == [
+        PrimePowerFactor(1000000000002767, 1), PrimePowerFactor(1009, 1), PrimePowerFactor(2, 1)]
+    assert asked == [1009 * 1000000000002767, 1000000000002767]
+
+
+@pytest.mark.parametrize("large", [1009 * 1013, 1009**2 * 10007, 1013 * 1019 * 1021, 1009 * 100003])
+def test_products_of_primes_past_1001_match_trial_division(large):
+    # every 7th small cofactor times primes past 1001: the cofactor is asked about at 1001 and
+    # after each of them, and the list and its order are trial division's
+    for m in range(1, 2000, 7):
+        for order in ("desc", "asc"):
+            assert factorize(m * large, order) == factorize_by_trial(m * large, order), m
