@@ -11,6 +11,7 @@ invariants; each error type in errors.py carries its own.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .numtheory import RingParams
 from .oracle import DEFAULT_ENVELOPE, verify_bijection
 
 
+@functools.cache  # one per process: parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="necklacemap",
@@ -243,12 +245,13 @@ def _run_verify(args, params: RingParams) -> Outcome:
             f"certification FAILED: {report.necklace_total} necklaces, "
             f"{report.function_total} functions"
         )
+    stages = ", ".join(f"{name} {s:.3f}s" for name, s in report.stage_seconds.items())
     return Outcome(
         report.to_payload(),
         lines,
         report.tables,
         0 if report.all_ok else 1,
-        f"elapsed: {report.elapsed:.3f}s",
+        f"elapsed: {report.elapsed:.3f}s ({stages})",
     )
 
 

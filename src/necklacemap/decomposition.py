@@ -184,9 +184,11 @@ class SplitTable:
     """One factor's split (see crt_split), read by residues alone.  rows[v][c] packs the F_p
     digits of c * x**v mod every P_j (quotient after quotient, t per base coefficient, one
     w-byte slot each, w = 1 or 2), filled from the quotients' x_powers by int arithmetic, with
-    no field product.  Where q_i > 256, the base keeps tuples (past TABLE_LIMIT) or the rows
-    would pass SPLIT_TABLE_BYTES (q_i * n**2 * t * w bytes), rows is None and a word is
-    reduced by one long division per quotient instead."""
+    no field product.  _digits sums a word's rows and reduces every slot to one byte; residues
+    slices those bytes into each quotient's coefficient indices, and support only asks which
+    quotients' bytes are not all zero.  Where q_i > 256, the base keeps tuples (past
+    TABLE_LIMIT) or the rows would pass SPLIT_TABLE_BYTES (q_i * n**2 * t * w bytes), rows is
+    None and a word is reduced by one long division per quotient instead."""
 
     def __init__(self, field: Field, quotients, n: int):
         self.field, self.quotients, self.n = field, quotients, n
@@ -201,6 +203,8 @@ class SplitTable:
         if qi > 256 or isinstance(field, ExtensionField) or qi * n * self.size > SPLIT_TABLE_BYTES:
             return
         self.codec = codec = SlotCodec(p, w, n * n * t)
+        self._digit_spans = tuple((slice(s.start * t, s.stop * t), bytes((s.stop - s.start) * t))
+                            for s in self.spans)  # each quotient's digits, and them all zero
         coeffs = [0] * n * n  # position-major: x**v's coefficients in every quotient
         for span, q in zip(self.spans, quotients):
             col, d = list(itertools.chain(*q.x_powers)) * (n // q.rotation_order), q.field.degree
@@ -225,18 +229,32 @@ class SplitTable:
             for v, row in enumerate(self.rows):
                 row.append(int.from_bytes(blob[v * self.size : (v + 1) * self.size], "little"))
 
+    def _digits(self, word) -> bytes:
+        """The word's F_p digits mod every P_j, quotient after quotient, one reduced byte each:
+        the sum of its n rows (their XOR for p = 2), each slot reduced mod p."""
+        picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
+        total = functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks)
+        return self.codec.digits(total, self.slots)
+
     def residues(self, word) -> tuple:
         if self.rows is None:
             coeffs = [self.field.from_index(c % self.qi) for c in word]
             return tuple(q.field.from_poly(coeffs) for q in self.quotients)
-        picks = map(operator.getitem, self.rows, map(self.qi.__rmod__, word))
-        total = functools.reduce(operator.xor, picks) if self.p == 2 else sum(picks)
-        indices = self.codec.digits(total, self.slots)
+        indices = self._digits(word)
         if self.t > 1:  # summed times p**k, the planes carry into no neighbour: indices < 256
             t, p = self.t, self.p
             planes = (int.from_bytes(indices[k::t], "little") * p**k for k in range(t))
             indices = sum(planes).to_bytes(self.n, "little")
         return tuple(tuple(indices[span]) for span in self.spans)  # a base element is its index
+
+    def support(self, word) -> tuple[int, ...]:
+        """Which quotients' residues are nonzero: those whose t digits per coefficient hold a
+        nonzero byte, with no residue built.  Without rows, the divided residues against zero."""
+        if self.rows is None:
+            return tuple(j for j, (q, r) in enumerate(zip(self.quotients, self.residues(word)))
+                         if r != q.field.zero)
+        digits = self._digits(word)
+        return tuple(j for j, (span, zero) in enumerate(self._digit_spans) if digits[span] != zero)
 
 
 @dataclass(frozen=True)
@@ -287,14 +305,20 @@ class CosetTable:
         word = tuple(word)
         if len(word) != self.params.n:
             raise ValueError(f"{noun} length {len(word)} != n = {self.params.n}")
+        q = self.params.q
+        for c in word:  # exact ints in range come back as they are, with no conversion
+            if type(c) is not int or not 0 <= c < q:
+                break
+        else:
+            return word
         out = []
         for c in word:
             try:
                 c = operator.index(c)
             except TypeError:
                 raise ValueError(f"{noun} {entry} {c!r} is not an integer") from None
-            if not 0 <= c < self.params.q:
-                raise ValueError(f"{entry} {c} outside [0, {self.params.q})")
+            if not 0 <= c < q:
+                raise ValueError(f"{entry} {c} outside [0, {q})")
             out.append(c)
         return tuple(out)
 
@@ -346,4 +370,4 @@ def shift(word, k: int) -> tuple[int, ...]:
 def orbit_canonical(word) -> tuple[int, ...]:
     """Lexicographically smallest rotation; the orbit representative."""
     word = tuple(word)
-    return min(shift(word, k) for k in range(len(word)))
+    return min(word[k:] + word[:k] for k in range(len(word)))

@@ -59,13 +59,11 @@ def profile(tables: CosetTable, word) -> ResidueProfile:
 
 
 def split_support(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
-    """The support of profile(tables, word), with no log: the zero pattern of
-    crt_split(tables, word), which quotients hold a nonzero residue."""
-    return tuple(
-        tuple(j for j, (qctx, residue) in enumerate(zip(block.quotients, group))
-              if residue != qctx.field.zero)
-        for block, group in zip(tables.blocks, crt_split(tables, word))
-    )
+    """The support of profile(tables, word), with no log: the zero pattern of crt_split's
+    digit bytes, which quotients hold a nonzero F_p digit (SplitTable.support), with no
+    residue tuple built.  A factor with no table compares its divided residues with zero."""
+    word = tables.check_word(word)
+    return tuple(block.split.support(word) for block in tables.blocks)
 
 
 def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueProfile:

@@ -8,15 +8,18 @@ log split, and every stratum count against the closed-form formulas.
 
 The rotation law is checked by walking the rotation orbit of every
 necklace: one profile (split plus discrete logs) per fully supported word,
-compared cyclically along its orbit, and only the CRT split for every other
-word, whose support is all the check and the strata need.
+compared cyclically along its orbit, and only the support of every other
+word, read off the split's digits.  Each necklace is split once: its
+support, kept in one list (interned, so equal supports are one object),
+decides its orbit's branch in the walk and is what the strata count.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import pairwise, product
 
 from .bijection import function_support, map_necklace, unmap_function, weighted_sum
 from .counting import stratum_count, stratum_keys
@@ -27,6 +30,9 @@ from .errors import EnvelopeExceededError
 from .numtheory import RingParams
 
 DEFAULT_ENVELOPE = 10**8
+# verify's checks in the order they run, each timed apart; the rotation law's time
+# includes the necklaces' splits, whose supports the strata then count
+STAGES = ("map", "inverse", "rotation law", "strata")
 
 
 def _check_envelope(n: int, q: int, limit: int) -> None:
@@ -81,7 +87,7 @@ def _full_support(tables: CosetTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(len(block.cosets))) for block in tables.blocks)
 
 
-def _shift_lemma_holds(tables: CosetTable, necklaces) -> bool:
+def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None) -> bool:
     """Rotation law of the log split, checked exhaustively.
 
     Part one: for the bare word x, every supported coset shows one turn and
@@ -90,8 +96,11 @@ def _shift_lemma_holds(tables: CosetTable, necklaces) -> bool:
     supported orbit each rotation is profiled once and compared with the
     next rotation, the last one with the necklace: one shift adds one to the
     turns (mod rotation_order) and keeps the offset; by induction over all
-    words, so does a shift by k.  On any other orbit no log is taken: the
-    support, read from the CRT split, must be the same on every rotation.
+    words, so does a shift by k.  On any other orbit no log is taken: every
+    other rotation's split_support must equal the necklace's.  `supports`
+    holds each necklace's split_support, in order, where the caller has them
+    (verify_bijection shares them with the strata); without it the walk
+    splits each necklace itself.
     """
     n, q = tables.params.n, tables.params.q
     full = _full_support(tables)
@@ -108,13 +117,14 @@ def _shift_lemma_holds(tables: CosetTable, necklaces) -> bool:
             if entry.offset != 0:
                 return False
 
+    if supports is None:
+        supports = [split_support(tables, necklace) for necklace in necklaces]
     visited = 0
-    for necklace in necklaces:
+    for necklace, support in zip(necklaces, supports, strict=True):
         orbit = [necklace]
         while (word := shift(orbit[-1], 1)) != necklace:
             orbit.append(word)
         visited += len(orbit)
-        support = split_support(tables, necklace)
         if support != full:
             if any(split_support(tables, word) != support for word in orbit[1:]):
                 return False
@@ -163,6 +173,7 @@ class VerificationReport:
     strata: tuple[StratumRecord, ...]
     flags: dict[str, bool]  # check name -> passed, in the order the checks run
     elapsed: float
+    stage_seconds: dict[str, float] = field(compare=False)  # per name in STAGES
     tables: CosetTable = field(repr=False, compare=False)
 
     @property
@@ -201,6 +212,7 @@ def verify_bijection(
     function_set = set(functions)
 
     flags: dict[str, bool] = {}
+    marks = [time.perf_counter()]  # and one as each of STAGES ends
     images = [map_necklace(tables, word) for word in necklaces]
     flags["total"] = all(
         len(image) == n and weighted_sum(n, image) == 0 and all(0 <= c < q for c in image)
@@ -209,20 +221,19 @@ def verify_bijection(
     image_set = set(images)
     flags["injective"] = len(image_set) == len(images)
     flags["surjective"] = image_set == function_set
+    marks.append(time.perf_counter())
     flags["inverse_ok"] = all(
         unmap_function(tables, image) == word for word, image in zip(necklaces, images)
     )
-    flags["shift_lemma_ok"] = _shift_lemma_holds(tables, necklaces)
+    marks.append(time.perf_counter())
 
-    necklace_by_key: dict = {}
-    for word in necklaces:
-        key = split_support(tables, word)
-        necklace_by_key[key] = necklace_by_key.get(key, 0) + 1
-    function_by_key: dict = {}
-    for values in functions:
-        key = function_support(tables, values)
-        function_by_key[key] = function_by_key.get(key, 0) + 1
+    interned: dict = {}  # each distinct support once, so the list holds references
+    supports = [interned.setdefault(key := split_support(tables, word), key) for word in necklaces]
+    flags["shift_lemma_ok"] = _shift_lemma_holds(tables, necklaces, supports)
+    marks.append(time.perf_counter())
 
+    necklace_by_key = Counter(supports)
+    function_by_key = Counter(function_support(tables, values) for values in functions)
     strata = [
         StratumRecord(
             support=key,
@@ -237,6 +248,7 @@ def verify_bijection(
         and sum(rec.formula for rec in strata) == len(necklaces)
         and sum(rec.function_side for rec in strata) == len(functions)
     )
+    marks.append(time.perf_counter())
 
     return VerificationReport(
         n=n,
@@ -247,5 +259,6 @@ def verify_bijection(
         strata=tuple(strata),
         flags=flags,
         elapsed=time.perf_counter() - started,
+        stage_seconds=dict(zip(STAGES, (end - start for start, end in pairwise(marks)))),
         tables=tables,
     )

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -97,6 +98,29 @@ class TestBasics:
         assert code == 0
         assert "bijection certified: 4 <-> 4" in out
         assert "elapsed" in err
+
+    def test_verify_times_each_check_on_stderr(self, capsys):
+        code, out, err = run(capsys, "--json", "verify", "5", "4")
+        assert code == 0 and "elapsed" not in out
+        s = r"(\d+\.\d{3})s"
+        pattern = rf"elapsed: {s} \(map {s}, inverse {s}, rotation law {s}, strata {s}\)\n"
+        match = re.fullmatch(pattern, err)
+        assert match, err
+        elapsed, *stages = map(float, match.groups())
+        assert sum(stages) <= elapsed + 0.002  # each printed to the millisecond
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; no parse leaks into the next call, so each
+        # output equals the same command's first call in a fresh process
+        prefix, env = TestExitCodes.module_run()
+        calls = [("--json", "verify", "3", "10"), ("verify", "3", "10"),
+                 ("--factor-order", "asc", "count", "5", "6"), ("--json", "count", "5", "6")]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        assert cli.build_parser() is cli.build_parser()
+        for argv, (code, out) in zip(calls, in_process):
+            fresh = subprocess.run(prefix + list(argv), capture_output=True, text=True, env=env,
+                                   timeout=60)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
     def test_failed_verify_reports_and_exits_1(self, capsys, monkeypatch):
         # the image (6, 9, 9) of the necklace (1, 1, 1) unmaps to a wrong word

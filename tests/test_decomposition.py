@@ -687,6 +687,33 @@ class TestPackedSplit:
             assert (table.w, table.rows) == (2, None), f
 
 
+class TestCheckWord:
+    def test_ints_in_range_come_back_as_the_tuple(self, tables_for):
+        t = tables_for(3, 10)
+        word = (0, 9, 4)
+        assert t.check_word(word) is word
+        assert t.check_word([0, 9, 4]) == word
+
+    @pytest.mark.parametrize("entries,message", [
+        ((1.5, 0, 0), "word color 1.5 is not an integer"),
+        ((0, -1, 0), "color -1 outside [0, 10)"),
+        ((0, 0, 10), "color 10 outside [0, 10)"),
+        ((12, 0, 2.5), "color 12 outside [0, 10)"),  # the first offending entry is named
+        ((0, 2.5, 12), "word color 2.5 is not an integer"),
+    ])
+    def test_messages_name_the_first_offending_entry(self, tables_for, entries, message):
+        with pytest.raises(ValueError) as excinfo:
+            tables_for(3, 10).check_word(entries)
+        assert str(excinfo.value) == message
+
+    def test_bools_and_int_subclasses_read_as_ints(self, tables_for):
+        class Color(int):
+            pass
+
+        checked = tables_for(3, 10).check_word((True, Color(7), False))
+        assert checked == (1, 7, 0) and all(type(c) is int for c in checked)
+
+
 class TestShift:
     def test_basic(self):
         assert shift((1, 0, 0), 1) == (0, 1, 0)
@@ -715,6 +742,11 @@ class TestOrbitCanonical:
     )
     def test_examples(self, word, expected):
         assert orbit_canonical(word) == expected
+
+    @pytest.mark.parametrize("n,q", [(5, 4), (9, 2)])
+    def test_every_word_is_the_least_shift(self, n, q):
+        for word in product(range(q), repeat=n):
+            assert orbit_canonical(word) == min(shift(word, k) for k in range(n)), word
 
     def test_is_minimum_of_all_rotations(self):
         word = (3, 1, 4, 1, 5)

@@ -111,6 +111,33 @@ class TestVerify:
         with pytest.raises(EnvelopeExceededError):
             verify_bijection(3, 10, limit=10)
 
+    def test_stage_seconds_cover_the_four_checks(self):
+        report = verify_bijection(5, 4)
+        assert list(report.stage_seconds) == ["map", "inverse", "rotation law", "strata"]
+        assert all(s >= 0 for s in report.stage_seconds.values())
+        assert sum(report.stage_seconds.values()) <= report.elapsed
+        assert replace(report, stage_seconds={}) == report  # not part of the outcome
+
+    def test_each_necklace_is_split_once(self, tables_for, monkeypatch):
+        # 135 fully supported necklaces, split once for the walk and the strata, plus the
+        # 349 words that are not fully supported: every rotation of their orbits
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        genuine = dlog.split_support
+        necklaces = enum_necklaces(5, 4)
+        full_necklaces = sum(genuine(tables, w) == full for w in necklaces)
+        partial_words = sum(genuine(tables, w) != full for w in product(range(4), repeat=5))
+        assert (full_necklaces, partial_words) == (135, 349)
+        calls = []
+
+        def counted(tables_arg, word):
+            calls.append(word)
+            return genuine(tables_arg, word)
+
+        monkeypatch.setattr(oracle, "split_support", counted)
+        assert verify_bijection(5, 4).all_ok
+        assert len(calls) == full_necklaces + partial_words == 484
+
 
 def _rotating_pair(tables):
     """The first coset (i, j) whose turns move under a shift."""
@@ -198,6 +225,18 @@ class TestShiftLemma:
         assert oracle._shift_lemma_holds(tables, necklaces) is True
         monkeypatch.setattr(oracle, "split_support", perturbed)
         assert oracle._shift_lemma_holds(tables, necklaces) is False
+
+    def test_shared_support_is_judged_on_every_rotation(self, tables_for):
+        # the walk takes each necklace's support from the list it is given; one partly
+        # supported necklace listed as fully supported must fail against its rotations
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        necklaces = enum_necklaces(5, 4)
+        supports = [dlog.split_support(tables, w) for w in necklaces]
+        assert oracle._shift_lemma_holds(tables, necklaces, supports) is True
+        k = next(k for k, w in enumerate(necklaces) if len(set(w)) > 1 and supports[k] != full)
+        supports[k] = full
+        assert oracle._shift_lemma_holds(tables, necklaces, supports) is False
 
     def test_missing_necklace_fails_the_walk(self, tables_for):
         tables = tables_for(5, 4)
