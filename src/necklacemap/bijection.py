@@ -116,15 +116,24 @@ def map_necklace(tables: CosetTable, word) -> tuple[int, ...]:
     """Image of the necklace through the unique zero-sum rotation.
 
     Rotation-invariant: any representative of the orbit gives the same
-    function.  The word is profiled once; with ws0 the weighted sum of its
-    own image and g the calibration step, the zero-sum rotation is
-    k = -ws0 / g (mod n / g), and only that rotation is encoded.  g must
-    divide ws0, n / g must be a period of the word, and the image must
-    have weighted sum 0; anything else is a broken invariant.
+    function.  The checked word is profiled once and mapped from that
+    profile by map_profiled.
     """
     word = tables.check_word(word)
+    return map_profiled(tables, word, profile(tables, word))
+
+
+def map_profiled(tables: CosetTable, word, prof: ResidueProfile) -> tuple[int, ...]:
+    """map_necklace of a checked word whose profile the caller already holds.
+
+    With ws0 the weighted sum of the word's own image and g the calibration
+    step, the zero-sum rotation is k = -ws0 / g (mod n / g), and only that
+    rotation is encoded, its profile taken from `prof` by the shift law.
+    g must divide ws0, n / g must be a period of the word, and the image
+    must have weighted sum 0; anything else is a broken invariant.  The
+    oracle maps each necklace from the profile its rotation walk reuses.
+    """
     n = tables.params.n
-    prof = profile(tables, word)
     aut = tables.automorphisms.for_support(prof.support)
     ws0 = sum(c * a for c, a in zip(aut.coeffs, aligned_turns(prof, aut))) % n
     g = aut.step

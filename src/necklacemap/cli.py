@@ -18,7 +18,13 @@ import sys
 from typing import NamedTuple
 
 from .bijection import map_necklace, unmap_function, weighted_sum
-from .counting import binary_zero_sum_count, necklace_count, stratum_count, stratum_keys
+from .counting import (
+    binary_zero_sum_count,
+    necklace_count,
+    stratum_count,
+    stratum_keys,
+    support_text,
+)
 from .decomposition import CosetTable, build_tables
 from .errors import NecklaceMapError
 from .numtheory import RingParams
@@ -131,14 +137,6 @@ def _poly_str(coeffs, field) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _support_str(support) -> str:
-    parts = []
-    for i, idxs in enumerate(support):
-        inner = ",".join(str(j + 1) for j in idxs)
-        parts.append(f"I_{i + 1}={{{inner}}}")
-    return " ".join(parts) if parts else "(no factors)"
-
-
 class Outcome(NamedTuple):
     """What one subcommand computed; `main` prints it and exits with `code`.
 
@@ -226,7 +224,7 @@ def _run_count(args, params: RingParams) -> Outcome:
     lines.append("strata:")
     for key in stratum_keys(tables):
         size = _decimal(stratum_count(tables, key))
-        lines.append(f"  {_support_str(key)}: {size}")
+        lines.append(f"  {support_text(key)}: {size}")
         result["strata"].append(
             {"support": [[j + 1 for j in idxs] for idxs in key], "count": size}
         )
@@ -246,12 +244,17 @@ def _run_verify(args, params: RingParams) -> Outcome:
             f"{report.function_total} functions"
         )
     stages = ", ".join(f"{name} {s:.3f}s" for name, s in report.stage_seconds.items())
+    notes = [
+        f"{name}: first counterexample: {text}"
+        for name, text in report.counterexamples.items()
+    ]
+    notes.append(f"elapsed: {report.elapsed:.3f}s ({stages})")
     return Outcome(
         report.to_payload(),
         lines,
         report.tables,
         0 if report.all_ok else 1,
-        f"elapsed: {report.elapsed:.3f}s ({stages})",
+        "\n".join(notes),
     )
 
 

@@ -24,6 +24,15 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+def support_text(support) -> str:
+    """A support as the CLI prints it: I_i={j,...} per factor, indices 1-based."""
+    parts = []
+    for i, idxs in enumerate(support):
+        inner = ",".join(str(j + 1) for j in idxs)
+        parts.append(f"I_{i + 1}={{{inner}}}")
+    return " ".join(parts) if parts else "(no factors)"
+
+
 def necklace_count(n: int, q: int) -> int:
     """Number of length-n necklaces over q colors (cyclic orbit count)."""
     if n < 1 or q < 1:

@@ -9,9 +9,16 @@ log split, and every stratum count against the closed-form formulas.
 The rotation law is checked by walking the rotation orbit of every
 necklace: one profile (split plus discrete logs) per fully supported word,
 compared cyclically along its orbit, and only the support of every other
-word, read off the split's digits.  Each necklace is split once: its
-support, kept in one list (interned, so equal supports are one object),
-decides its orbit's branch in the walk and is what the strata count.
+word, read off the split's digits.  Each necklace is profiled once, and
+that profile is all verify shares with the map: the map pass maps the
+necklace from it (map_profiled), its support (interned, so equal supports
+are one object) decides the orbit's branch in the walk and is what the
+strata count, and a fully supported necklace's walk starts from it.  The
+parts that judge the map never read rotate_profile, the map's solve of the
+zero-sum rotation or the calibration: enumeration and weighted sums are
+written here, the inverse check compares unmap_function (itself under
+test) with the enumerated word, and the walk profiles every other rotation
+from that word's own split.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import pairwise, product
 
-from .bijection import function_support, map_necklace, unmap_function, weighted_sum
-from .counting import stratum_count, stratum_keys
+from .bijection import function_support, map_profiled, unmap_function, weighted_sum
+from .bijection import map_necklace  # noqa: F401  bench/tracer.py hooks it here
+from .counting import stratum_count, stratum_keys, support_text
 from .decomposition import CosetTable, build_tables, shift
 from .decomposition import orbit_canonical  # noqa: F401  bench/tracer.py hooks it here
 from .dlog import profile, split_support
@@ -30,8 +38,9 @@ from .errors import EnvelopeExceededError
 from .numtheory import RingParams
 
 DEFAULT_ENVELOPE = 10**8
-# verify's checks in the order they run, each timed apart; the rotation law's time
-# includes the necklaces' splits, whose supports the strata then count
+# verify's checks in the order they run, each timed apart; the map's time includes
+# the necklaces' profiles, which the rotation law and the strata then reuse, so the
+# rotation law profiles or splits only the other rotations
 STAGES = ("map", "inverse", "rotation law", "strata")
 
 
@@ -83,11 +92,15 @@ def enum_functions(n: int, q: int, limit: int = DEFAULT_ENVELOPE) -> list[tuple[
             for last in range(sum(v * c for v, c in enumerate(prefix)) % n, q, n)]
 
 
+def _csv(word) -> str:
+    return ",".join(map(str, word))
+
+
 def _full_support(tables: CosetTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(len(block.cosets))) for block in tables.blocks)
 
 
-def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None) -> bool:
+def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None, profiles=None) -> bool:
     """Rotation law of the log split, checked exhaustively.
 
     Part one: for the bare word x, every supported coset shows one turn and
@@ -98,9 +111,11 @@ def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None) -> bool:
     turns (mod rotation_order) and keeps the offset; by induction over all
     words, so does a shift by k.  On any other orbit no log is taken: every
     other rotation's split_support must equal the necklace's.  `supports`
-    holds each necklace's split_support, in order, where the caller has them
-    (verify_bijection shares them with the strata); without it the walk
-    splits each necklace itself.
+    holds each necklace's support, in order, and `profiles` each fully
+    supported necklace's profile (None for the others), where the caller
+    has them: verify_bijection shares the profiles of its map pass.
+    Without them the walk splits each necklace, and profiles each fully
+    supported one, itself.  Every other rotation is split or profiled here.
     """
     n, q = tables.params.n, tables.params.q
     full = _full_support(tables)
@@ -119,8 +134,10 @@ def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None) -> bool:
 
     if supports is None:
         supports = [split_support(tables, necklace) for necklace in necklaces]
+    if profiles is None:
+        profiles = [None] * len(necklaces)
     visited = 0
-    for necklace, support in zip(necklaces, supports, strict=True):
+    for necklace, support, prof in zip(necklaces, supports, profiles, strict=True):
         orbit = [necklace]
         while (word := shift(orbit[-1], 1)) != necklace:
             orbit.append(word)
@@ -129,10 +146,11 @@ def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None) -> bool:
             if any(split_support(tables, word) != support for word in orbit[1:]):
                 return False
             continue
-        profiles = [profile(tables, word) for word in orbit]
-        if any(prof.support != full for prof in profiles):
+        walked = [prof or profile(tables, necklace)]
+        walked += [profile(tables, word) for word in orbit[1:]]
+        if any(p.support != full for p in walked):
             return False
-        for base, rotated in zip(profiles, profiles[1:] + profiles[:1]):
+        for base, rotated in zip(walked, walked[1:] + walked[:1]):
             for i, block in enumerate(tables.blocks):
                 for j, qctx in enumerate(block.quotients):
                     b0 = base.entry(i, j)
@@ -174,6 +192,8 @@ class VerificationReport:
     flags: dict[str, bool]  # check name -> passed, in the order the checks run
     elapsed: float
     stage_seconds: dict[str, float] = field(compare=False)  # per name in STAGES
+    # failed check name -> its first counterexample, in words; the rotation law names none
+    counterexamples: dict[str, str] = field(compare=False)
     tables: CosetTable = field(repr=False, compare=False)
 
     @property
@@ -212,24 +232,51 @@ def verify_bijection(
     function_set = set(functions)
 
     flags: dict[str, bool] = {}
+    found: dict[str, str] = {}  # each failed check's first counterexample, sought once it fails
     marks = [time.perf_counter()]  # and one as each of STAGES ends
-    images = [map_necklace(tables, word) for word in necklaces]
-    flags["total"] = all(
-        len(image) == n and weighted_sum(n, image) == 0 and all(0 <= c < q for c in image)
-        for image in images
+    full = _full_support(tables)
+    interned: dict = {}  # each distinct support once, so the list holds references
+    images, supports, full_profiles = [], [], []
+    for word in necklaces:
+        prof = profile(tables, word)
+        images.append(map_profiled(tables, word, prof))
+        supports.append(interned.setdefault(prof.support, prof.support))
+        full_profiles.append(prof if prof.support == full else None)
+    outside = next(
+        ((word, image) for word, image in zip(necklaces, images) if not (
+            len(image) == n and weighted_sum(n, image) == 0 and all(0 <= c < q for c in image))),
+        None,
     )
+    flags["total"] = outside is None
+    if outside:
+        found["total"] = f"necklace {_csv(outside[0])} maps to {_csv(outside[1])}, not a function"
     image_set = set(images)
     flags["injective"] = len(image_set) == len(images)
+    if not flags["injective"]:
+        first: dict = {}
+        found["injective"] = next(
+            f"necklaces {_csv(first[image])} and {_csv(word)} both map to {_csv(image)}"
+            for word, image in zip(necklaces, images)
+            if first.setdefault(image, word) != word
+        )
     flags["surjective"] = image_set == function_set
+    if not flags["surjective"]:
+        # with every function reached, some image is not a function: total's counterexample
+        missed = next((values for values in functions if values not in image_set), None)
+        found["surjective"] = f"no necklace maps to {_csv(missed)}" if missed else found["total"]
     marks.append(time.perf_counter())
-    flags["inverse_ok"] = all(
-        unmap_function(tables, image) == word for word, image in zip(necklaces, images)
+    wrong = next(
+        ((word, image, back) for word, image in zip(necklaces, images)
+         if (back := unmap_function(tables, image)) != word),
+        None,
     )
+    flags["inverse_ok"] = wrong is None
+    if wrong:
+        word, image, back = map(_csv, wrong)
+        found["inverse_ok"] = f"necklace {word} maps to {image}, which unmaps to {back}"
     marks.append(time.perf_counter())
 
-    interned: dict = {}  # each distinct support once, so the list holds references
-    supports = [interned.setdefault(key := split_support(tables, word), key) for word in necklaces]
-    flags["shift_lemma_ok"] = _shift_lemma_holds(tables, necklaces, supports)
+    flags["shift_lemma_ok"] = _shift_lemma_holds(tables, necklaces, supports, full_profiles)
     marks.append(time.perf_counter())
 
     necklace_by_key = Counter(supports)
@@ -243,11 +290,25 @@ def verify_bijection(
         )
         for key in stratum_keys(tables)
     ]
+    uneven = next(  # the first stratum whose three counts differ
+        (rec for rec in strata if not rec.formula == rec.necklace_side == rec.function_side), None
+    )
+    formula_total = sum(rec.formula for rec in strata)
     flags["stratum_ok"] = (
-        all(rec.formula == rec.necklace_side == rec.function_side for rec in strata)
-        and sum(rec.formula for rec in strata) == len(necklaces)
+        uneven is None
+        and formula_total == len(necklaces)
         and sum(rec.function_side for rec in strata) == len(functions)
     )
+    if uneven:
+        found["stratum_ok"] = (
+            f"support {support_text(uneven.support)}: formula {uneven.formula}, "
+            f"{uneven.necklace_side} necklaces, {uneven.function_side} functions"
+        )
+    elif not flags["stratum_ok"]:
+        found["stratum_ok"] = (
+            f"the strata's formulas sum to {formula_total} "
+            f"for {len(necklaces)} necklaces and {len(functions)} functions"
+        )
     marks.append(time.perf_counter())
 
     return VerificationReport(
@@ -260,5 +321,6 @@ def verify_bijection(
         flags=flags,
         elapsed=time.perf_counter() - started,
         stage_seconds=dict(zip(STAGES, (end - start for start, end in pairwise(marks)))),
+        counterexamples=found,
         tables=tables,
     )

@@ -144,6 +144,40 @@ class TestBasics:
         assert code == 1 and "elapsed:" in err
         assert result["certified"] is False and result["flags"]["inverse_ok"] is False
 
+    def test_failed_inverse_names_its_necklace_on_stderr(self, capsys, monkeypatch):
+        # the image (6, 9, 9) of the necklace (1, 1, 1) unmaps to a wrong word; stdout is
+        # the same as for any failed check, stderr names the necklace before the timings
+        real = oracle.unmap_function
+        monkeypatch.setattr(
+            oracle, "unmap_function",
+            lambda tables, image: (2, 1, 1) if image == (6, 9, 9) else real(tables, image),
+        )
+        code, _, err = run(capsys, "verify", "3", "10")
+        first, last = err.splitlines()
+        assert code == 1 and last.startswith("elapsed: ")
+        assert first == (
+            "inverse_ok: first counterexample: necklace 1,1,1 maps to 6,9,9, which unmaps to 2,1,1"
+        )
+
+    def test_failed_strata_name_their_support_on_stderr(self, capsys, monkeypatch):
+        tables = build_tables(RingParams.create(3, 10))
+        key = list(counting.stratum_keys(tables))[5]
+        real = oracle.stratum_count
+        monkeypatch.setattr(
+            oracle, "stratum_count",
+            lambda tables, support: real(tables, support) + (support == key),
+        )
+        code, out, err = run(capsys, "--json", "verify", "3", "10")
+        first, last = err.splitlines()
+        assert code == 1 and last.startswith("elapsed: ")
+        rec = next(r for r in json.loads(out)["result"]["strata"]
+                   if r["support"] == [[j + 1 for j in idxs] for idxs in key])
+        n_side, f_side = rec["necklace_side"], rec["function_side"]
+        assert first == (
+            f"stratum_ok: first counterexample: support {counting.support_text(key)}: "
+            f"formula {int(n_side) + 1}, {n_side} necklaces, {f_side} functions"
+        )
+
     def test_verify_builds_the_tables_once(self, capsys, monkeypatch):
         built = []
         real = QuotientFieldCtx.__init__

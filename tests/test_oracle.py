@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from necklacemap import dlog, oracle
-from necklacemap.decomposition import shift
+from necklacemap import bijection, dlog, oracle
+from necklacemap.decomposition import build_tables, shift
 from necklacemap.errors import EnvelopeExceededError
+from necklacemap.numtheory import RingParams
 from necklacemap.oracle import (
     enum_functions,
     enum_necklaces,
@@ -118,16 +119,16 @@ class TestVerify:
         assert sum(report.stage_seconds.values()) <= report.elapsed
         assert replace(report, stage_seconds={}) == report  # not part of the outcome
 
-    def test_each_necklace_is_split_once(self, tables_for, monkeypatch):
-        # 135 fully supported necklaces, split once for the walk and the strata, plus the
-        # 349 words that are not fully supported: every rotation of their orbits
+    def test_no_necklace_is_split(self, tables_for, monkeypatch):
+        # the necklaces' supports come from their profiles; only the 349 words that are not
+        # fully supported are split, less the 73 necklaces among them
         tables = tables_for(5, 4)
         full = oracle._full_support(tables)
         genuine = dlog.split_support
         necklaces = enum_necklaces(5, 4)
-        full_necklaces = sum(genuine(tables, w) == full for w in necklaces)
+        partial_necklaces = sum(genuine(tables, w) != full for w in necklaces)
         partial_words = sum(genuine(tables, w) != full for w in product(range(4), repeat=5))
-        assert (full_necklaces, partial_words) == (135, 349)
+        assert (partial_necklaces, partial_words) == (73, 349)
         calls = []
 
         def counted(tables_arg, word):
@@ -136,7 +137,95 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "split_support", counted)
         assert verify_bijection(5, 4).all_ok
-        assert len(calls) == full_necklaces + partial_words == 484
+        assert len(calls) == partial_words - partial_necklaces == 276
+        assert not set(calls) & set(necklaces)
+
+    def test_each_necklace_is_profiled_once(self, tables_for, monkeypatch):
+        # the 208 necklaces, the word x, and the 540 other rotations of the 135 fully
+        # supported orbits (675 fully supported words); the map profiles nothing itself
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        necklaces = enum_necklaces(5, 4)
+        full_necklaces = sum(dlog.split_support(tables, w) == full for w in necklaces)
+        assert (len(necklaces), full_necklaces) == (208, 135)
+        calls, map_calls = [], []
+        genuine = dlog.profile
+
+        def counted(tables_arg, word):
+            calls.append(word)
+            return genuine(tables_arg, word)
+
+        def map_counted(tables_arg, word):
+            map_calls.append(word)
+            return genuine(tables_arg, word)
+
+        monkeypatch.setattr(oracle, "profile", counted)
+        monkeypatch.setattr(bijection, "profile", map_counted)
+        assert verify_bijection(5, 4).all_ok
+        assert len(calls) == len(necklaces) + 1 + (675 - full_necklaces) == 749
+        assert map_calls == []
+        assert all(calls.count(w) == 1 for w in necklaces)
+
+    def test_the_walk_judges_the_map_pass_profile(self, tables_for, monkeypatch):
+        # one offset of one fully supported necklace's profile moves by one; the necklace
+        # is profiled once, so the walk fails on the very profile the map pass used
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        i, j = _rotating_pair(tables)
+        x_exponent = tables.blocks[i].quotients[j].x_exponent
+        genuine = dlog.profile
+        target = next(
+            w for w in enum_necklaces(5, 4)
+            if (prof := genuine(tables, w)).support == full
+            and prof.entry(i, j).offset + 1 < x_exponent
+        )
+        calls = []
+
+        def perturbed(tables_arg, word):
+            prof = genuine(tables_arg, word)
+            if tuple(word) != target:
+                return prof
+            calls.append(word)
+            entries = dict(prof.entries)
+            entries[(i, j)] = replace(prof.entry(i, j), offset=prof.entry(i, j).offset + 1)
+            return replace(prof, entries=entries)
+
+        monkeypatch.setattr(oracle, "profile", perturbed)
+        report = verify_bijection(5, 4)
+        assert report.flags["shift_lemma_ok"] is False
+        assert calls == [target]
+
+    def test_a_passing_run_names_no_counterexample(self):
+        report = verify_bijection(5, 4)
+        assert report.all_ok and report.counterexamples == {}
+
+    def test_failed_map_checks_name_their_first_counterexample(self, monkeypatch):
+        # (3,2): the necklaces 000, 001, 011, 111; 001 takes 011's image, then an image
+        # that is not a function
+        genuine = oracle.map_profiled
+        images = {w: bijection.map_necklace(build_tables(RingParams.create(3, 2)), w)
+                  for w in enum_necklaces(3, 2)}
+        swap = {(0, 0, 1): images[(0, 1, 1)]}
+        monkeypatch.setattr(
+            oracle, "map_profiled", lambda t, w, p: swap.get(w) or genuine(t, w, p)
+        )
+        report = verify_bijection(3, 2)
+        missed = ",".join(map(str, images[(0, 0, 1)]))
+        shared = ",".join(map(str, images[(0, 1, 1)]))
+        assert report.counterexamples["injective"] == (
+            f"necklaces 0,0,1 and 0,1,1 both map to {shared}"
+        )
+        assert report.counterexamples["surjective"] == f"no necklace maps to {missed}"
+        assert "total" not in report.counterexamples
+        # (0, 1, 0) has weighted sum 1; the inverse pass, which would refuse it, is stubbed
+        swap[(0, 0, 1)] = (0, 1, 0)
+        genuine_unmap = oracle.unmap_function
+        monkeypatch.setattr(
+            oracle, "unmap_function", lambda t, v: (0, 0, 1) if v == (0, 1, 0) else genuine_unmap(t, v)
+        )
+        report = verify_bijection(3, 2)
+        assert report.counterexamples["total"] == "necklace 0,0,1 maps to 0,1,0, not a function"
+        assert report.counterexamples["surjective"] == f"no necklace maps to {missed}"
 
 
 def _rotating_pair(tables):
@@ -237,6 +326,16 @@ class TestShiftLemma:
         k = next(k for k, w in enumerate(necklaces) if len(set(w)) > 1 and supports[k] != full)
         supports[k] = full
         assert oracle._shift_lemma_holds(tables, necklaces, supports) is False
+
+    @pytest.mark.parametrize("n,q", [(5, 4), (3, 10)])
+    def test_the_walk_never_rotates_a_profile(self, tables_for, monkeypatch, n, q):
+        # the walk profiles each rotation from its own split, never by the map's shift law
+        def refused(*args):
+            raise AssertionError("rotate_profile called")
+
+        monkeypatch.setattr(bijection, "rotate_profile", refused)
+        monkeypatch.setattr(dlog, "rotate_profile", refused)
+        assert oracle._shift_lemma_holds(tables_for(n, q), enum_necklaces(n, q)) is True
 
     def test_missing_necklace_fails_the_walk(self, tables_for):
         tables = tables_for(5, 4)
