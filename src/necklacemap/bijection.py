@@ -51,12 +51,13 @@ def encode_components(
     tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism
 ) -> dict[tuple[int, int], int]:
     """{(i, j): offset * rotation_order + aligned turns} of the supported cosets,
-    each below q_i**size - 1, the saturated digit block of an unsupported coset."""
+    each below the quotient's unit-group order q_i**size - 1, which is also the
+    saturated digit block of an unsupported coset."""
     payloads = {}
     for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut)):
-        block = tables.blocks[i]
-        bound = block.factor.value ** block.cosets[j].size - 1
-        payload = prof.entry(i, j).offset * block.quotients[j].rotation_order + aligned
+        qctx = tables.blocks[i].quotients[j]
+        bound = qctx.group_order
+        payload = prof.entry(i, j).offset * qctx.rotation_order + aligned
         if not 0 <= payload < bound:
             raise RangeViolationError(f"digit payload {payload} escapes [0, {bound})")
         payloads[(i, j)] = payload
@@ -78,16 +79,17 @@ def combine_components(tables: CosetTable, payloads) -> tuple[int, ...]:
 
 
 def live_payloads(tables: CosetTable, values) -> dict[tuple[int, int], int]:
-    """{(i, j): payload} of every coset whose digit block is not saturated:
-    the inverse of combine_components, reading digit i of c as c // w_i % q_i."""
+    """{(i, j): payload} of every coset whose digit block is not saturated, that is
+    whose payload is not the quotient's unit-group order q_i**size - 1: the
+    inverse of combine_components, reading digit i of c as c // w_i % q_i."""
     payloads = {}
     for i, (block, w) in enumerate(zip(tables.blocks, tables.params.weights)):
         qi = block.factor.value
-        for j, coset in enumerate(block.cosets):
+        for j, (coset, qctx) in enumerate(zip(block.cosets, block.quotients)):
             payload = 0
             for pos in reversed(coset.orbit):
                 payload = payload * qi + values[pos] // w % qi
-            if payload != qi**coset.size - 1:
+            if payload != qctx.group_order:
                 payloads[(i, j)] = payload
     return payloads
 

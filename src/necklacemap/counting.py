@@ -68,7 +68,7 @@ def stratum_count(tables: CosetTable, support) -> int:
         block = tables.blocks[i]
         for j in idxs:
             reps.append(block.cosets[j].rep)
-            prod *= block.factor.value ** block.cosets[j].size - 1
+            prod *= block.quotients[j].group_order
     total = gcd_of_set(n, reps) * prod
     if total % n != 0:
         raise InternalError("stratum size is not an integer")

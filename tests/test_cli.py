@@ -159,6 +159,21 @@ class TestBasics:
             "inverse_ok: first counterexample: necklace 1,1,1 maps to 6,9,9, which unmaps to 2,1,1"
         )
 
+    def test_a_stray_image_fails_total_and_exits_1(self, capsys, monkeypatch):
+        # the necklace 0,0,1 of (3,2) maps to (2, 0, 0), which is not a function: a report,
+        # not an argument error
+        real = oracle.map_profiled
+        monkeypatch.setattr(
+            oracle, "map_profiled",
+            lambda tables, word, prof: (2, 0, 0) if word == (0, 0, 1) else real(tables, word, prof),
+        )
+        code, out, err = run(capsys, "verify", "3", "2")
+        assert code == 1 and "total: FAILED" in out.splitlines()
+        assert (
+            "total: first counterexample: necklace 0,0,1 maps to 2,0,0, not a function"
+            in err.splitlines()
+        )
+
     def test_failed_strata_name_their_support_on_stderr(self, capsys, monkeypatch):
         tables = build_tables(RingParams.create(3, 10))
         key = list(counting.stratum_keys(tables))[5]

@@ -227,6 +227,40 @@ class TestVerify:
         assert report.counterexamples["total"] == "necklace 0,0,1 maps to 0,1,0, not a function"
         assert report.counterexamples["surjective"] == f"no necklace maps to {missed}"
 
+    @pytest.mark.parametrize("stray", [(2, 0, 0), (0, 1, 0)])
+    def test_a_stray_image_is_reported_and_never_unmapped(self, monkeypatch, stray):
+        # (2, 0, 0) has a value outside [0, 2) and (0, 1, 0) weighted sum 1: neither is a
+        # function, so 0,0,1's image fails total and inverse_ok under one text
+        genuine, genuine_unmap = oracle.map_profiled, oracle.unmap_function
+        monkeypatch.setattr(
+            oracle, "map_profiled", lambda t, w, p: stray if w == (0, 0, 1) else genuine(t, w, p)
+        )
+        unmapped = []
+
+        def recorded(tables_arg, values):
+            unmapped.append(values)
+            return genuine_unmap(tables_arg, values)
+
+        monkeypatch.setattr(oracle, "unmap_function", recorded)
+        report = verify_bijection(3, 2)
+        failed = {"total", "surjective", "inverse_ok"}
+        assert report.flags == {name: name not in failed for name in report.flags}
+        assert len(report.flags) == 6
+        text = f"necklace 0,0,1 maps to {','.join(map(str, stray))}, not a function"
+        assert report.counterexamples["total"] == report.counterexamples["inverse_ok"] == text
+        assert stray not in unmapped
+
+    def test_strata_that_miss_a_stratum_fail_on_their_sums(self, monkeypatch):
+        # without the empty support each listed stratum still agrees three ways, and only
+        # the sums show the missing zero word and all-saturated function
+        genuine = oracle.stratum_keys
+        monkeypatch.setattr(oracle, "stratum_keys", lambda t: (k for k in genuine(t) if any(k)))
+        report = verify_bijection(3, 2)
+        assert report.flags == {name: name != "stratum_ok" for name in report.flags}
+        assert report.counterexamples == {
+            "stratum_ok": "the strata's formulas sum to 3 for 4 necklaces and 4 functions"
+        }
+
 
 def _rotating_pair(tables):
     """The first coset (i, j) whose turns move under a shift."""
