@@ -89,14 +89,14 @@ def cyclotomic_cosets(n: int, qi: int) -> list[CyclotomicCoset]:
     return out
 
 
-def _root_of_unity(ext, n: int):
+def _root_of_unity(ext, n: int, factored: dict | None = None):
     """Canonical element of multiplicative order n: w = g**((Q - 1)/n) for g the first
     primitive element of the field of order Q, proved down find_primitive's tree (the
     tree is then dropped), so w has order n exactly when n | Q - 1.  (Scanning for order
     exactly n would touch most of the field once the splitting extension gets large.)"""
     if (ext.order - 1) % n:
         raise InternalError("splitting field has no root of unity of order n")
-    return ext.pow(find_primitive(ext)[0], (ext.order - 1) // n)
+    return ext.pow(find_primitive(ext, factored)[0], (ext.order - 1) // n)
 
 
 def cyclotomic_polynomial(field, m: int, memo: dict) -> tuple:
@@ -136,7 +136,7 @@ def _minimal_polynomial(field: Field, powers: list) -> tuple:
     return (*(row[s] for row in rows[:s]), one)
 
 
-def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
+def factor_xn_minus_1(n: int, field: Field, cosets=None, factored=None) -> list[tuple]:
     """Monic irreducible factors of x**n - 1 over `field`, one per coset.
 
     A coset of residues of order m = n / gcd(n, rep) that holds all
@@ -146,7 +146,8 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
     splitting extension built: there, with w a root of unity of order n, each
     such coset's factor is the minimal polynomial of b = w**rep, solved over
     `field` from b**0 .. b**size in the list of w's powers (_minimal_polynomial).
-    Returned coefficient tuples align with the coset list.
+    Returned coefficient tuples align with the coset list.  `factored` is the build's
+    factorizations by number (fields._factored), which the root's proof reads and fills.
     """
     if math.gcd(n, field.order) != 1:
         raise NotCoprimeError(f"field order {field.order} shares a factor with n={n}")
@@ -156,7 +157,7 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None) -> list[tuple]:
     if any(c.size < euler_phi(m) for c, m in zip(cosets, orders)):
         # no coset outgrows the coset of 1, whose size is the order of |field| mod n
         ext = extend_field(field, max(c.size for c in cosets))
-        omega = _root_of_unity(ext, n)
+        omega = _root_of_unity(ext, n, factored)
         roots = [ext.one]  # w**k for k < n, one product each
         for _ in range(n - 1):
             roots.append(ext.mul(roots[-1], omega))
@@ -278,13 +279,14 @@ class CosetTable:
 
     def __init__(self, params: RingParams):
         self.params = params
-        n = params.n
-        blocks = []
+        n, blocks = params.n, []
+        factored: dict = {}  # each number this build factors, with its factorization
         for factor in params.factors:
             field = build_field(factor.p, factor.t)
             cosets = tuple(cyclotomic_cosets(n, factor.value))
-            pairs = zip(cosets, factor_xn_minus_1(n, field, cosets))
-            quotients = tuple(QuotientFieldCtx(field, poly, n, c.rep) for c, poly in pairs)
+            pairs = zip(cosets, factor_xn_minus_1(n, field, cosets, factored))
+            quotients = tuple(QuotientFieldCtx(field, poly, n, c.rep, factored)
+                              for c, poly in pairs)
             blocks.append(FactorBlock(factor, field, cosets, quotients))
         self.blocks: tuple[FactorBlock, ...] = tuple(blocks)
         self.color_basis = self._color_basis(params)

@@ -130,9 +130,10 @@ class ExtensionField:
     then `x_powers` lists x**k for k < R by times_x, and x**R = 1 proves P | x**R - 1;
     gcd(P, x_powers[R/r] - 1) = 1 for each prime r | R makes every root a primitive R-th
     root of unity, so every irreducible factor of P has that degree and P is one (Lidl &
-    Niederreiter, Finite Fields, Thm 2.47).  Any other P takes Ben-Or's test (_ben_or)."""
+    Niederreiter, Finite Fields, Thm 2.47).  Any other P takes Ben-Or's test (_ben_or).
+    R is factored through `factored` (_factored)."""
 
-    def __init__(self, base, modulus: tuple, period: int = 0):
+    def __init__(self, base, modulus: tuple, period: int = 0, factored: dict | None = None):
         if len(modulus) < 2 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 1")
         if all(c == base.zero for u, c in enumerate(modulus) if u % base.p):
@@ -176,7 +177,8 @@ class ExtensionField:
             if powers.pop() != self.one:
                 raise ValueError(f"the powers of x do not close after x**{period}")
             self.x_powers = tuple(powers)
-            lower = (self.sub(powers[period // r], self.one) for r, _ in factorize(period))
+            lower = (self.sub(powers[period // r], self.one)
+                     for r, _ in _factored(period, factored))
             if any(polys.gcd(base, modulus, polys.trim(base, h)) != (base.one,) for h in lower):
                 raise ValueError(f"modulus is no irreducible factor of Phi_{period}")
         elif not self._ben_or():
@@ -437,7 +439,17 @@ def _digits(base, i: int, t: int) -> tuple:
     return tuple(base.from_index(i // base.order**u % base.order) for u in range(t))
 
 
-def find_primitive(field) -> tuple:
+def _factored(m: int, factored: dict | None) -> list:
+    """factorize(m), kept in `factored` where given: one build's factorizations by number,
+    so its quotients of one degree and its splitting field factor their group order once."""
+    if factored is None:
+        return factorize(m)
+    if m not in factored:
+        factored[m] = factorize(m)
+    return factored[m]
+
+
+def find_primitive(field, factored: dict | None = None) -> tuple:
     """First element of maximal order in the canonical enumeration, with its tree.
 
     Returns (primitive, tree), the _prime_power_tree over the one factorization
@@ -447,9 +459,9 @@ def find_primitive(field) -> tuple:
     resultant of the modulus and a; a candidate whose norm fails costs no
     power in the field, and the others walk the tree to their first failing leaf.
     """
-    prime_powers = factorize(field.order - 1)
+    prime_powers = _factored(field.order - 1, factored)
     base = field.base if isinstance(field, ExtensionField) and field.degree > 1 else None
-    norm_primes = [] if base is None else [f.p for f in factorize(base.order - 1)]
+    norm_primes = [] if base is None else [f.p for f in _factored(base.order - 1, factored)]
     for i in range(field.base.order if field.degree > 1 else 1, field.order):
         a = field.from_index(i)
         norm = polys.resultant(base, field.modulus, polys.trim(base, a)) if norm_primes else None
@@ -585,15 +597,17 @@ class QuotientFieldCtx:
 
     `x_powers[k]`, the field's x**k mod P for k < R, is by the shift law generator**(k *
     x_exponent), the residue a rotation counter k stands for; x**(1 mod R) must be x_class,
-    which from_poly reduces on its own (else OrderMismatchError).
+    which from_poly reduces on its own (else OrderMismatchError).  The period certificate
+    and find_primitive factor through `factored`, the build's factorizations (_factored).
     """
 
-    def __init__(self, base_field, modulus: tuple, n: int, rep: int):
+    def __init__(self, base_field, modulus: tuple, n: int, rep: int,
+                 factored: dict | None = None):
         self.n, self.rep = n, rep
         self.rep_gcd = math.gcd(n, rep)
         self.rotation_order = r = n // self.rep_gcd
         try:
-            self.field = ExtensionField(base_field, tuple(modulus), period=r)
+            self.field = ExtensionField(base_field, tuple(modulus), r, factored)
         except ValueError as refused:
             raise OrderMismatchError(str(refused)) from refused
         self.x_class, self.x_powers = self.field.from_poly(polys.x(base_field)), self.field.x_powers
@@ -607,7 +621,7 @@ class QuotientFieldCtx:
         if self.field.mul(self.field.from_poly(self.cofactor), self.cofactor_inv) != self.field.one:
             raise InternalError("x * P' / n does not invert the CRT cofactor")
         self.group_order = self.field.order - 1
-        primitive, self._tree = find_primitive(self.field)
+        primitive, self._tree = find_primitive(self.field, factored)
         if self.group_order <= WHOLE_TABLE_ORDER:  # the tree was the proof; one table logs
             self._tree = (self.group_order, primitive)
         self.x_exponent = self.group_order // self.rotation_order

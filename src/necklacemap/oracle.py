@@ -2,24 +2,26 @@
 
 This module is the ground truth: it generates every necklace and every
 zero-sum function inside a size envelope, by rules that share no code with
-the map, pushes each necklace through the map, and checks totality (each
-image is a member of that enumeration of the functions), injectivity,
-surjectivity, the inverse round trip, the rotation law of the log split,
-and every stratum count against the closed-form formulas.
+the map, and checks totality (each image is a function by the rule that
+generates them), injectivity, surjectivity, the inverse round trip, the
+rotation law of the log split and every stratum count against its formula.
 
-The rotation law is checked by walking the rotation orbit of every
-necklace: one profile (split plus discrete logs) per fully supported word,
-compared cyclically along its orbit, and only the support of every other
-word, read off the split's digits.  Each necklace is profiled once, and
-that profile is all verify shares with the map: the map pass maps the
-necklace from it (map_profiled), its support (interned, so equal supports
-are one object) decides the orbit's branch in the walk and is what the
-strata count, and a fully supported necklace's walk starts from it.  The
-parts that judge the map never read rotate_profile, the map's solve of the
-zero-sum rotation or the calibration: enumeration and weighted sums are
-written here, the inverse check compares unmap_function (itself under
-test) with the enumerated word, and the walk profiles every other rotation
-from that word's own split.
+verify_bijection streams both sides, so a passing run holds nothing of size
+q^n: no list, no image, only a count per support.  A map with a left inverse
+is injective, and an injection between finite sets of equal size is onto; so
+once every image is a function that unmaps to its necklace and both sides
+count alike, no image is needed.  Any other run takes a second pass into a
+dict from each image to its first necklace, to name the first shared and the
+first missed image.  A calibration that refuses a support raises at the first
+necklace that has it, before either side is enumerated in full.
+
+Each necklace is profiled once, and that profile is all verify shares with
+the map: the necklace is mapped from it (map_profiled), the strata count its
+support, and its orbit's walk (_walk) starts from it.  What judges the map
+never reads rotate_profile, the map's solve of the zero-sum rotation or the
+calibration: enumeration and weighted sums are written here, the inverse
+check compares unmap_function (itself under test) with the enumerated word,
+and the walk splits or profiles every other rotation itself.
 """
 
 from __future__ import annotations
@@ -27,21 +29,20 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, pairwise, product
+from itertools import chain, product
 
 from .bijection import function_support, map_profiled, unmap_function
 from .bijection import map_necklace  # noqa: F401  bench/tracer.py hooks it here
 from .counting import stratum_count, stratum_keys, support_text
 from .decomposition import CosetTable, build_tables, shift
 from .decomposition import orbit_canonical  # noqa: F401  bench/tracer.py hooks it here
-from .dlog import profile, split_support
+from .dlog import DlogEntry, profile, split_support
 from .errors import EnvelopeExceededError
 from .numtheory import RingParams
 
 DEFAULT_ENVELOPE = 10**8
-# verify's checks in the order they run, each timed apart; the map's time includes
-# the necklaces' profiles, which the rotation law and the strata then reuse, so the
-# rotation law profiles or splits only the other rotations
+# verify's checks, each timed apart inside its loops; the map's time includes the
+# necklaces' profiles and the count of their supports, which the other checks reuse
 STAGES = ("map", "inverse", "rotation law", "strata")
 
 
@@ -56,8 +57,19 @@ def _check_envelope(n: int, q: int, limit: int) -> None:
     low_bits = (n.bit_length() - 1) + n * (q.bit_length() - 1)
     if low_bits >= limit.bit_length() or n * q**n > limit:
         raise EnvelopeExceededError(
-            f"n*q^n for n={n}, q={q} exceeds the enumeration envelope {limit}"
-        )
+            f"n*q^n for n={n}, q={q} exceeds the enumeration envelope {limit}")
+
+
+def _necklaces(n: int, q: int):
+    word = [-1]
+    while word:
+        word[-1] += 1
+        d = len(word)
+        word = [word[v % d] for v in range(n)]
+        if n % d == 0:
+            yield tuple(word)
+        while word and word[-1] == q - 1:
+            word.pop()
 
 
 def enum_necklaces(n: int, q: int, limit: int = DEFAULT_ENVELOPE) -> list[tuple[int, ...]]:
@@ -68,29 +80,32 @@ def enum_necklaces(n: int, q: int, limit: int = DEFAULT_ENVELOPE) -> list[tuple[
     order, and each one of length d | n, repeated n/d times, is the next necklace.
     """
     _check_envelope(n, q, limit)
-    out, word = [], [-1]
-    while word:
-        word[-1] += 1
-        d = len(word)
-        word = [word[v % d] for v in range(n)]
-        if n % d == 0:
-            out.append(tuple(word))
-        while word and word[-1] == q - 1:
-            word.pop()
-    return out
+    return list(_necklaces(n, q))
+
+
+def _last_values(n: int, q: int, prefix) -> range:
+    """The values f(n-1) that complete f(0..n-2) = prefix to a zero-sum function: as
+    n - 1 = -1 (mod n), the weighted sum is S - f(n-1) with S = sum(v * f(v), v < n - 1),
+    so they are S mod n, S mod n + n, ... below q (every value at n = 1)."""
+    return range(sum(v * c for v, c in enumerate(prefix)) % n, q, n)
+
+
+def _functions(n: int, q: int):
+    return (prefix + (last,) for prefix in product(range(q), repeat=n - 1)
+            for last in _last_values(n, q, prefix))
+
+
+def _is_function(n: int, q: int, values) -> bool:
+    """Membership in the functions that enum_functions lists, by the rule it generates by."""
+    return (len(values) == n and all(0 <= c < q for c in values[:-1])
+            and values[-1] in _last_values(n, q, values[:-1]))
 
 
 def enum_functions(n: int, q: int, limit: int = DEFAULT_ENVELOPE) -> list[tuple[int, ...]]:
-    """All functions Z_n -> [0, q) whose weighted sum vanishes mod n, in lexicographic order.
-
-    As n - 1 = -1 (mod n), the weighted sum is S - f(n-1) with S = sum(v * f(v), v < n - 1),
-    so each prefix f(0..n-2) takes exactly the last values S mod n, S mod n + n, ... below q.
-    At n = 1 the prefix is empty and every value is taken.
-    """
+    """All functions Z_n -> [0, q) whose weighted sum vanishes mod n, in lexicographic
+    order: each prefix in [0, q)^(n-1) with each of its _last_values."""
     _check_envelope(n, q, limit)
-    return [prefix + (last,)
-            for prefix in product(range(q), repeat=n - 1)
-            for last in range(sum(v * c for v, c in enumerate(prefix)) % n, q, n)]
+    return list(_functions(n, q))
 
 
 def _csv(word) -> str:
@@ -101,66 +116,70 @@ def _full_support(tables: CosetTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(len(block.cosets))) for block in tables.blocks)
 
 
-def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None, profiles=None) -> bool:
-    """Rotation law of the log split, checked exhaustively.
-
-    Part one: for the bare word x, every supported coset shows one turn and
-    zero offset.  Part two walks the rotation orbit of every necklace, which
-    visits every word once (the visits must number q**n).  On a fully
-    supported orbit each rotation is profiled once and compared with the
-    next rotation, the last one with the necklace: one shift adds one to the
-    turns (mod rotation_order) and keeps the offset; by induction over all
-    words, so does a shift by k.  On any other orbit no log is taken: every
-    other rotation's split_support must equal the necklace's.  `supports`
-    holds each necklace's support, in order, and `profiles` each fully
-    supported necklace's profile (None for the others), where the caller
-    has them: verify_bijection shares the profiles of its map pass.
-    Without them the walk splits each necklace, and profiles each fully
-    supported one, itself.  Every other rotation is split or profiled here.
-    """
-    n, q = tables.params.n, tables.params.q
-    full = _full_support(tables)
-
-    word_x = (1 % q,) if n == 1 else (0, 1 % q) + (0,) * (n - 2)
-    prof_x = profile(tables, word_x)
-    if prof_x.support != full:
-        return False
+def _turn_break(tables: CosetTable, seen, base) -> str | None:
+    """The first quotient where profile `seen` is not one turn past `base` with base's
+    offset, in words, or None; a base of None has zero turns and offset, as the word 1."""
     for i, block in enumerate(tables.blocks):
         for j, qctx in enumerate(block.quotients):
-            entry = prof_x.entry(i, j)
-            if entry.turns % qctx.rotation_order != 1 % qctx.rotation_order:
-                return False
-            if entry.offset != 0:
-                return False
+            got, order = seen.entry(i, j), qctx.rotation_order
+            was = DlogEntry(0, 0) if base is None else base.entry(i, j)
+            if got.turns % order != (1 + was.turns) % order or got.offset != was.offset:
+                return (f"quotient ({i + 1}, {j + 1}) shows turns {got.turns % order} and "
+                        f"offset {got.offset}, expected turns {(1 + was.turns) % order} "
+                        f"and offset {was.offset}")
+    return None
 
-    if supports is None:
-        supports = [split_support(tables, necklace) for necklace in necklaces]
-    if profiles is None:
-        profiles = [None] * len(necklaces)
-    visited = 0
-    for necklace, support, prof in zip(necklaces, supports, profiles, strict=True):
-        orbit = [necklace]
-        while (word := shift(orbit[-1], 1)) != necklace:
-            orbit.append(word)
-        visited += len(orbit)
-        if support != full:
-            if any(split_support(tables, word) != support for word in orbit[1:]):
-                return False
-            continue
-        walked = [prof or profile(tables, necklace)]
-        walked += [profile(tables, word) for word in orbit[1:]]
-        if any(p.support != full for p in walked):
-            return False
-        for base, rotated in zip(walked, walked[1:] + walked[:1]):
-            for i, block in enumerate(tables.blocks):
-                for j, qctx in enumerate(block.quotients):
-                    b0 = base.entry(i, j)
-                    b1 = rotated.entry(i, j)
-                    if b1.turns % qctx.rotation_order != (1 + b0.turns) % qctx.rotation_order:
-                        return False
-                    if b1.offset != b0.offset:
-                        return False
-    return visited == q**n
+
+def _word_x_break(tables: CosetTable, full) -> str | None:
+    """Part one of the rotation law: the bare word x, the word 1 shifted once, is fully
+    supported and one turn past it.  Its first break in words, or None."""
+    prof = profile(tables, shift((1 % tables.params.q,) + (0,) * (tables.params.n - 1), 1))
+    if prof.support != full:
+        return f"the word x has support {support_text(prof.support)}, not {support_text(full)}"
+    return (text := _turn_break(tables, prof, None)) and f"the word x: {text}"
+
+
+def _walk(tables: CosetTable, necklace, support, prof, full) -> tuple[int, str | None]:
+    """Part two of the rotation law on one necklace's orbit: the words it visits, and the
+    law's first break on it in words, or None.  On a fully supported orbit each rotation
+    is profiled once (the necklace by `prof` where the caller holds it) and compared with
+    the next, the last with the necklace: one shift adds one to the turns and keeps the
+    offset.  On any other orbit no log is taken: every other rotation's split_support
+    must equal `support`."""
+    orbit = [necklace]
+    while (word := shift(orbit[-1], 1)) != necklace:
+        orbit.append(word)
+    at = f"necklace {_csv(necklace)}, rotation"
+    if support != full:
+        for k, word in enumerate(orbit[1:], 1):
+            if (seen := split_support(tables, word)) != support:
+                return len(orbit), (f"{at} {k}: support {support_text(seen)}, "
+                                    f"the necklace's {support_text(support)}")
+        return len(orbit), None
+    walked = [prof or profile(tables, necklace)] + [profile(tables, w) for w in orbit[1:]]
+    for k, rotated in enumerate(walked):
+        if rotated.support != full:
+            return len(orbit), (f"{at} {k}: support {support_text(rotated.support)}, "
+                                f"not {support_text(full)}")
+    for k, (base, rotated) in enumerate(zip(walked, walked[1:] + walked[:1]), 1):
+        if text := _turn_break(tables, rotated, base):
+            return len(orbit), f"{at} {k % len(orbit)}: {text}"
+    return len(orbit), None
+
+
+def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None, profiles=None) -> bool:
+    """Rotation law of the log split, checked exhaustively: the word x, then _walk on the
+    orbit of every necklace, visiting every word once, so by induction a shift by k adds
+    k turns.  `supports` and `profiles` give each necklace's support and, where fully
+    supported, its profile (else None); without them each is taken here."""
+    full = _full_support(tables)
+    if _word_x_break(tables, full) is not None:
+        return False
+    supports = supports or [split_support(tables, necklace) for necklace in necklaces]
+    profiles = profiles or [None] * len(necklaces)
+    walks = [_walk(tables, *args, full) for args in zip(necklaces, supports, profiles, strict=True)]
+    return (all(text is None for _, text in walks)
+            and sum(visits for visits, _ in walks) == tables.params.q ** tables.params.n)
 
 
 def verify_shift_lemma(
@@ -193,7 +212,7 @@ class VerificationReport:
     flags: dict[str, bool]  # check name -> passed, in the order the checks run
     elapsed: float
     stage_seconds: dict[str, float] = field(compare=False)  # per name in STAGES
-    # failed check name -> its first counterexample, in words; the rotation law names none
+    # failed check name -> its first counterexample, in words
     counterexamples: dict[str, str] = field(compare=False)
     tables: CosetTable = field(repr=False, compare=False)
 
@@ -209,12 +228,9 @@ class VerificationReport:
             "flags": dict(self.flags),
             "certified": self.all_ok,
             "strata": [
-                {
-                    "support": [[j + 1 for j in idxs] for idxs in rec.support],
-                    "formula": str(rec.formula),
-                    "necklace_side": str(rec.necklace_side),
-                    "function_side": str(rec.function_side),
-                }
+                {"support": [[j + 1 for j in idxs] for idxs in rec.support],
+                 "formula": str(rec.formula), "necklace_side": str(rec.necklace_side),
+                 "function_side": str(rec.function_side)}
                 for rec in self.strata
             ],
         }
@@ -223,87 +239,86 @@ class VerificationReport:
 def verify_bijection(
     n: int, q: int, factor_order: str = "desc", limit: int = DEFAULT_ENVELOPE
 ) -> VerificationReport:
-    """Map every necklace, compare against every zero-sum function.
+    """Map every necklace, compare against every zero-sum function, holding neither list.
 
-    Each map-side check is a lazy sequence of counterexample texts: it passes if
-    the sequence is empty, else it names the first, found by the same scan.  The
-    checks read the enumerated functions and a dict from each image to its first
-    necklace; an image outside the functions fails total and inverse_ok alike and
-    is never unmapped.
-    """
+    Each check is a lazy sequence of counterexample texts: it passes if the sequence is
+    empty, else it names the first.  An image that is no function fails total and
+    inverse_ok alike, is never unmapped, and is reused by the second pass."""
     _check_envelope(n, q, limit)
     started = time.perf_counter()
     tables = build_tables(RingParams.create(n, q, factor_order))
 
-    necklaces = enum_necklaces(n, q, limit)
-    functions = enum_functions(n, q, limit)
-    function_set = set(functions)
-
-    flags: dict[str, bool] = {}
-    found: dict[str, str] = {}  # each failed check's first counterexample
+    flags, found = {}, {}  # check -> passed; failed check -> its first counterexample
 
     def judge(check: str, texts) -> None:
         flags[check] = (text := next(iter(texts), None)) is None
         if text is not None:
             found[check] = text
 
-    marks = [time.perf_counter()]  # and one as each of STAGES ends
-    full = _full_support(tables)
-    interned: dict = {}  # each distinct support once, so the list holds references
-    images, supports, full_profiles = [], [], []
-    for word in necklaces:
+    clock, full, t0 = time.perf_counter, _full_support(tables), time.perf_counter()
+    law = _word_x_break(tables, full)  # the rotation law's first break
+    seconds = [0.0, 0.0, clock() - t0, 0.0]  # per name in STAGES
+    failed = []  # (necklace, image, its unmap or None where the image is no function)
+    necklace_by_key, visited, t0 = Counter(), 0, clock()
+    for word in _necklaces(n, q):
         prof = profile(tables, word)
-        images.append(map_profiled(tables, word, prof))
-        supports.append(interned.setdefault(prof.support, prof.support))
-        full_profiles.append(prof if prof.support == full else None)
-    first = dict(zip(reversed(images), reversed(necklaces)))  # image -> its first necklace
-    judge("total", (f"necklace {_csv(word)} maps to {_csv(image)}, not a function"
-                    for word, image in zip(necklaces, images) if image not in function_set))
-    judge("injective", (
-        f"necklaces {_csv(first[image])} and {_csv(word)} both map to {_csv(image)}"
-        for word, image in zip(necklaces, images) if first[image] != word))
-    # with every function reached, some image is not a function: total's counterexample
-    judge("surjective", chain(
-        (f"no necklace maps to {_csv(values)}" for values in functions if values not in first),
-        [found["total"]] if "total" in found else []))
-    marks.append(time.perf_counter())
-    judge("inverse_ok", (
-        f"necklace {_csv(word)} maps to {_csv(image)}, "
-        + ("not a function" if image not in function_set else f"which unmaps to {_csv(back)}")
-        for word, image in zip(necklaces, images)
-        if image not in function_set or (back := unmap_function(tables, image)) != word))
-    marks.append(time.perf_counter())
+        image = map_profiled(tables, word, prof)
+        member = _is_function(n, q, image)
+        necklace_by_key[prof.support] += 1
+        t1 = clock()
+        if not member or (back := unmap_function(tables, image)) != word:
+            failed.append((word, image, back if member else None))
+        t2 = clock()
+        if law is None:
+            visits, law = _walk(tables, word, prof.support, prof, full)
+            visited += visits
+        for k, stage_s in enumerate((t1 - t0, t2 - t1, (t0 := clock()) - t2)):
+            seconds[k] += stage_s
 
-    flags["shift_lemma_ok"] = _shift_lemma_holds(tables, necklaces, supports, full_profiles)
-    marks.append(time.perf_counter())
-
-    necklace_by_key = Counter(supports)
-    function_by_key = Counter(function_support(tables, values) for values in functions)
+    function_by_key = Counter(function_support(tables, values) for values in _functions(n, q))
+    necklace_total, function_total = necklace_by_key.total(), function_by_key.total()
     strata = [
         StratumRecord(key, stratum_count(tables, key), necklace_by_key[key], function_by_key[key])
         for key in stratum_keys(tables)
     ]
+    seconds[3] += clock() - t0
+
+    t0 = clock()
+    judge("total", (f"necklace {_csv(word)} maps to {_csv(image)}, not a function"
+                    for word, image, back in failed if back is None))
+    shared = first = None  # injective's counterexample; each image's first necklace
+    if failed or necklace_total != function_total:
+        stored, first = {word: image for word, image, _ in failed}, {}
+        for word in _necklaces(n, q):
+            image = stored.get(word) or map_profiled(tables, word, profile(tables, word))
+            if first.setdefault(image, word) != word and shared is None:
+                shared = (f"necklaces {_csv(first[image])} and {_csv(word)} "
+                          f"both map to {_csv(image)}")
+    judge("injective", [shared] if shared else [])
+    # with every function reached, some image is not a function: total's counterexample
+    judge("surjective", chain(
+        () if first is None else (f"no necklace maps to {_csv(values)}"
+                                  for values in _functions(n, q) if values not in first),
+        [found["total"]] if "total" in found else []))
+    seconds[0] += clock() - t0
+    judge("inverse_ok", (f"necklace {_csv(word)} maps to {_csv(image)}, " + (
+        "not a function" if back is None else f"which unmaps to {_csv(back)}")
+        for word, image, back in failed))
+    if law is None and visited != q**n:
+        law = f"the orbits visit {visited} words, not q^n = {q**n}"
+    judge("shift_lemma_ok", [law] if law else [])
+
     formula_total = sum(rec.formula for rec in strata)
-    sums_ok = (formula_total == len(necklaces)
-               and sum(rec.function_side for rec in strata) == len(functions))
+    sums_ok = (formula_total == necklace_total
+               and sum(rec.function_side for rec in strata) == function_total)
     judge("stratum_ok", chain(
         (f"support {support_text(rec.support)}: formula {rec.formula}, "
          f"{rec.necklace_side} necklaces, {rec.function_side} functions"
          for rec in strata if not rec.formula == rec.necklace_side == rec.function_side),
         () if sums_ok else (f"the strata's formulas sum to {formula_total} "
-                            f"for {len(necklaces)} necklaces and {len(functions)} functions",)))
-    marks.append(time.perf_counter())
+                            f"for {necklace_total} necklaces and {function_total} functions",)))
 
     return VerificationReport(
-        n=n,
-        q=q,
-        factor_order=factor_order,
-        necklace_total=len(necklaces),
-        function_total=len(functions),
-        strata=tuple(strata),
-        flags=flags,
-        elapsed=time.perf_counter() - started,
-        stage_seconds=dict(zip(STAGES, (end - start for start, end in pairwise(marks)))),
-        counterexamples=found,
-        tables=tables,
-    )
+        n, q, factor_order, necklace_total, function_total, tuple(strata), flags,
+        elapsed=time.perf_counter() - started, stage_seconds=dict(zip(STAGES, seconds)),
+        counterexamples=found, tables=tables)

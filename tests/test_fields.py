@@ -625,6 +625,26 @@ class TestQuotientCtx:
         q = QuotientFieldCtx(PrimeField(5), (1, 1, 1), n=3, rep=1)
         assert seen.count(q.group_order) == 1, seen
 
+    @pytest.mark.parametrize("n,q,order", [(7, 2, 7), (31, 2, 31)])
+    def test_one_factorization_per_order_per_build(self, monkeypatch, n, q, order):
+        # the splitting field GF(2^s) and every degree-s quotient share the group order
+        # 2^s - 1, which is also each quotient's rotation order: the build factors every
+        # number once, and a second build factors them all again
+        seen = []
+
+        def counted(m, *args, **kwargs):
+            seen.append(m)
+            return factorize(m, *args, **kwargs)
+
+        monkeypatch.setattr(fields, "factorize", counted)
+        tables = build_tables(RingParams.create(n, q))
+        assert sum(qctx.group_order == order for qctx in tables.blocks[0].quotients) > 1
+        assert seen.count(order) == 1 and len(seen) == len(set(seen)), seen
+        first = list(seen)
+        seen.clear()
+        build_tables(RingParams.create(n, q))
+        assert seen == first
+
     @pytest.mark.parametrize("n,q", [(5, 6), (9, 2), (63, 2), (13, 6), (17, 3)])
     def test_folded_remainder_matches_polys(self, n, q, tables_for):
         # a quotient folds by x**R = 1, R its rotation order, before it divides

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from necklacemap import bijection, dlog, oracle
+from necklacemap.counting import support_text
 from necklacemap.decomposition import build_tables, shift
 from necklacemap.errors import EnvelopeExceededError
 from necklacemap.numtheory import RingParams
@@ -392,3 +393,104 @@ class TestShiftLemma:
         monkeypatch.setattr(oracle, "profile", counted)
         assert oracle._shift_lemma_holds(tables, enum_necklaces(5, 4)) is True
         assert len(calls) == 1 + fully_supported == 676
+
+
+class TestMembershipRule:
+    def test_accepts_every_listed_function(self):
+        for n, q in GENERATED_PAIRS:
+            assert all(oracle._is_function(n, q, f) for f in enum_functions(n, q)), (n, q)
+
+    def test_rejects_every_other_word(self):
+        for n, q in GENERATED_PAIRS:
+            if q**n <= 4096:
+                listed = set(enum_functions(n, q))
+                for word in product(range(q), repeat=n):
+                    assert oracle._is_function(n, q, word) == (word in listed), (n, q, word)
+
+    def test_rejects_wrong_lengths_and_values(self):
+        # (3,10): 0,1,7 is a function; a longer or shorter word, or one value moved out of
+        # [0, 10) with the weighted sum kept, is not
+        assert oracle._is_function(3, 10, (0, 1, 7))
+        for values in [(0, 1), (0, 1, 7, 0), (0, 1, 10), (-3, 1, 7), (0, 11, 7 + 20)]:
+            assert not oracle._is_function(3, 10, values), values
+
+
+class TestRotationLawCounterexample:
+    def test_moved_offset_names_necklace_rotation_and_quotient(self, tables_for, monkeypatch):
+        # the first fully supported (5,4) necklace whose offset on the first rotating
+        # quotient can move by one: its rotation 1 no longer keeps the necklace's offset
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        i, j = _rotating_pair(tables)
+        qctx = tables.blocks[i].quotients[j]
+        genuine = dlog.profile
+        target = next(
+            w for w in enum_necklaces(5, 4)
+            if (prof := genuine(tables, w)).support == full
+            and prof.entry(i, j).offset + 1 < qctx.x_exponent
+        )
+
+        def moved(tables_arg, word):
+            prof = genuine(tables_arg, word)
+            if tuple(word) != target:
+                return prof
+            entries = dict(prof.entries)
+            entries[(i, j)] = replace(prof.entry(i, j), offset=prof.entry(i, j).offset + 1)
+            return replace(prof, entries=entries)
+
+        monkeypatch.setattr(oracle, "profile", moved)
+        report = verify_bijection(5, 4)
+        was, r = genuine(tables, target).entry(i, j), qctx.rotation_order
+        got = genuine(tables, shift(target, 1)).entry(i, j)
+        assert report.flags["shift_lemma_ok"] is False
+        assert report.counterexamples["shift_lemma_ok"] == (
+            f"necklace {','.join(map(str, target))}, rotation 1: quotient ({i + 1}, {j + 1}) "
+            f"shows turns {got.turns % r} and offset {got.offset}, "
+            f"expected turns {(1 + was.turns) % r} and offset {was.offset + 1}"
+        )
+        assert oracle._shift_lemma_holds(tables, enum_necklaces(5, 4)) is False
+
+    def test_a_changed_support_names_both_supports(self, tables_for):
+        # a partly supported necklace listed as fully supported: its own profile is not
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        necklace = next(w for w in enum_necklaces(5, 4)
+                        if len(set(w)) > 1 and dlog.split_support(tables, w) != full)
+        support = dlog.split_support(tables, necklace)
+        visits, text = oracle._walk(tables, necklace, full, None, full)
+        assert visits == 5
+        assert text == (f"necklace {','.join(map(str, necklace))}, rotation 0: support "
+                        f"{support_text(support)}, not {support_text(full)}")
+        visits, text = oracle._walk(tables, necklace, support, None, full)
+        assert (visits, text) == (5, None)
+
+    def test_word_x_and_the_visit_count(self, tables_for, monkeypatch):
+        # one turn too many on the word x is named in part one; a run that visits too
+        # few words is named by the count
+        tables = tables_for(5, 4)
+        full = oracle._full_support(tables)
+        assert oracle._word_x_break(tables, full) is None
+        genuine = dlog.profile
+        i, j = _rotating_pair(tables)
+        r = tables.blocks[i].quotients[j].rotation_order
+
+        def turned(tables_arg, word):
+            prof = genuine(tables_arg, word)
+            if tuple(word) != (0, 1, 0, 0, 0):
+                return prof
+            entries = dict(prof.entries)
+            entries[(i, j)] = replace(prof.entry(i, j), turns=prof.entry(i, j).turns + 1)
+            return replace(prof, entries=entries)
+
+        monkeypatch.setattr(oracle, "profile", turned)
+        assert oracle._word_x_break(tables, full) == (
+            f"the word x: quotient ({i + 1}, {j + 1}) shows turns {2 % r} and offset 0, "
+            f"expected turns {1 % r} and offset 0")
+        report = verify_bijection(5, 4)
+        assert report.counterexamples["shift_lemma_ok"].startswith("the word x: ")
+        monkeypatch.setattr(oracle, "profile", genuine)
+        short = enum_necklaces(5, 4)[:-1]
+        monkeypatch.setattr(oracle, "_necklaces", lambda n, q: iter(short))
+        report = verify_bijection(5, 4)
+        assert report.counterexamples["shift_lemma_ok"] == (
+            "the orbits visit 1023 words, not q^n = 1024")
