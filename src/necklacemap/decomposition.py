@@ -279,7 +279,8 @@ class CosetTable:
 
     def __init__(self, params: RingParams):
         self.params = params
-        n, blocks = params.n, []
+        n = params.n
+        blocks = []
         factored: dict = {}  # each number this build factors, with its factorization
         for factor in params.factors:
             field = build_field(factor.p, factor.t)

@@ -6,14 +6,14 @@ the map, and checks totality (each image is a function by the rule that
 generates them), injectivity, surjectivity, the inverse round trip, the
 rotation law of the log split and every stratum count against its formula.
 
-verify_bijection streams both sides, so a passing run holds nothing of size
-q^n: no list, no image, only a count per support.  A map with a left inverse
-is injective, and an injection between finite sets of equal size is onto; so
-once every image is a function that unmaps to its necklace and both sides
-count alike, no image is needed.  Any other run takes a second pass into a
-dict from each image to its first necklace, to name the first shared and the
-first missed image.  A calibration that refuses a support raises at the first
-necklace that has it, before either side is enumerated in full.
+verify_bijection streams both sides, holding one chunk of necklaces with
+their profiles and images at a time, and a count per support.  A map with a
+left inverse is injective, and an injection between finite sets of equal size
+is onto: once every image is a function that unmaps to its necklace and both
+sides count alike, no image need be kept.  Any other run takes a second pass
+into a dict from each image to its first necklace, to name the first shared
+and the first missed image.  A calibration that refuses a support raises
+before either side is enumerated in full.
 
 Each necklace is profiled once, and that profile is all verify shares with
 the map: the necklace is mapped from it (map_profiled), the strata count its
@@ -29,21 +29,24 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, islice, product
+from operator import mul
 
 from .bijection import function_support, map_profiled, unmap_function
 from .bijection import map_necklace  # noqa: F401  bench/tracer.py hooks it here
 from .counting import stratum_count, stratum_keys, support_text
 from .decomposition import CosetTable, build_tables, shift
 from .decomposition import orbit_canonical  # noqa: F401  bench/tracer.py hooks it here
-from .dlog import DlogEntry, profile, split_support
+from .dlog import DlogEntry, ResidueProfile, profile, split_support
 from .errors import EnvelopeExceededError
 from .numtheory import RingParams
 
 DEFAULT_ENVELOPE = 10**8
-# verify's checks, each timed apart inside its loops; the map's time includes the
-# necklaces' profiles and the count of their supports, which the other checks reuse
+# verify's checks, each timed apart; the map's time includes the necklaces' profiles
 STAGES = ("map", "inverse", "rotation law", "strata")
+# necklaces per chunk, each check taking the whole chunk in turn: the checks ran
+# 10-20% slower taken in turn on each necklace
+CHUNK = 256
 
 
 def _check_envelope(n: int, q: int, limit: int) -> None:
@@ -87,7 +90,7 @@ def _last_values(n: int, q: int, prefix) -> range:
     """The values f(n-1) that complete f(0..n-2) = prefix to a zero-sum function: as
     n - 1 = -1 (mod n), the weighted sum is S - f(n-1) with S = sum(v * f(v), v < n - 1),
     so they are S mod n, S mod n + n, ... below q (every value at n = 1)."""
-    return range(sum(v * c for v, c in enumerate(prefix)) % n, q, n)
+    return range(sum(map(mul, range(n), prefix)) % n, q, n)
 
 
 def _functions(n: int, q: int):
@@ -117,12 +120,10 @@ def _full_support(tables: CosetTable) -> tuple[tuple[int, ...], ...]:
 
 
 def _turn_break(tables: CosetTable, seen, base) -> str | None:
-    """The first quotient where profile `seen` is not one turn past `base` with base's
-    offset, in words, or None; a base of None has zero turns and offset, as the word 1."""
+    """First quotient, in words, where profile `seen` is not one turn past `base`, or None."""
     for i, block in enumerate(tables.blocks):
         for j, qctx in enumerate(block.quotients):
-            got, order = seen.entry(i, j), qctx.rotation_order
-            was = DlogEntry(0, 0) if base is None else base.entry(i, j)
+            got, was, order = seen.entry(i, j), base.entry(i, j), qctx.rotation_order
             if got.turns % order != (1 + was.turns) % order or got.offset != was.offset:
                 return (f"quotient ({i + 1}, {j + 1}) shows turns {got.turns % order} and "
                         f"offset {got.offset}, expected turns {(1 + was.turns) % order} "
@@ -136,42 +137,43 @@ def _word_x_break(tables: CosetTable, full) -> str | None:
     prof = profile(tables, shift((1 % tables.params.q,) + (0,) * (tables.params.n - 1), 1))
     if prof.support != full:
         return f"the word x has support {support_text(prof.support)}, not {support_text(full)}"
-    return (text := _turn_break(tables, prof, None)) and f"the word x: {text}"
+    one = ResidueProfile(full, dict.fromkeys(prof.entries, DlogEntry(0, 0)))  # the word 1
+    return (text := _turn_break(tables, prof, one)) and f"the word x: {text}"
 
 
 def _walk(tables: CosetTable, necklace, support, prof, full) -> tuple[int, str | None]:
     """Part two of the rotation law on one necklace's orbit: the words it visits, and the
-    law's first break on it in words, or None.  On a fully supported orbit each rotation
-    is profiled once (the necklace by `prof` where the caller holds it) and compared with
-    the next, the last with the necklace: one shift adds one to the turns and keeps the
-    offset.  On any other orbit no log is taken: every other rotation's split_support
-    must equal `support`."""
+    law's first break on it in words, or None.  A fully supported orbit profiles each
+    rotation once (the necklace by `prof` where given) and compares it with the next, the
+    last with the necklace: one shift adds one turn and keeps the offset.  On any other
+    orbit no log is taken: every rotation's split_support must equal `support`."""
     orbit = [necklace]
     while (word := shift(orbit[-1], 1)) != necklace:
         orbit.append(word)
-    at = f"necklace {_csv(necklace)}, rotation"
+
+    def at(k: int, text: str) -> tuple[int, str]:  # the walk's result at a break
+        return len(orbit), f"necklace {_csv(necklace)}, rotation {k % len(orbit)}: {text}"
+
     if support != full:
         for k, word in enumerate(orbit[1:], 1):
             if (seen := split_support(tables, word)) != support:
-                return len(orbit), (f"{at} {k}: support {support_text(seen)}, "
-                                    f"the necklace's {support_text(support)}")
+                return at(k, f"support {support_text(seen)}, not {support_text(support)}")
         return len(orbit), None
     walked = [prof or profile(tables, necklace)] + [profile(tables, w) for w in orbit[1:]]
     for k, rotated in enumerate(walked):
         if rotated.support != full:
-            return len(orbit), (f"{at} {k}: support {support_text(rotated.support)}, "
-                                f"not {support_text(full)}")
+            return at(k, f"support {support_text(rotated.support)}, not {support_text(full)}")
     for k, (base, rotated) in enumerate(zip(walked, walked[1:] + walked[:1]), 1):
         if text := _turn_break(tables, rotated, base):
-            return len(orbit), f"{at} {k % len(orbit)}: {text}"
+            return at(k, text)
     return len(orbit), None
 
 
 def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None, profiles=None) -> bool:
     """Rotation law of the log split, checked exhaustively: the word x, then _walk on the
     orbit of every necklace, visiting every word once, so by induction a shift by k adds
-    k turns.  `supports` and `profiles` give each necklace's support and, where fully
-    supported, its profile (else None); without them each is taken here."""
+    k turns.  `supports` and `profiles` (None where not fully supported) are taken here
+    where not given."""
     full = _full_support(tables)
     if _word_x_break(tables, full) is not None:
         return False
@@ -182,9 +184,8 @@ def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None, profiles=No
             and sum(visits for visits, _ in walks) == tables.params.q ** tables.params.n)
 
 
-def verify_shift_lemma(
-    n: int, q: int, factor_order: str = "desc", limit: int = DEFAULT_ENVELOPE
-) -> bool:
+def verify_shift_lemma(n: int, q: int, factor_order: str = "desc",
+                       limit: int = DEFAULT_ENVELOPE) -> bool:
     """Standalone entry point for the rotation-law check."""
     _check_envelope(n, q, limit)
     tables = build_tables(RingParams.create(n, q, factor_order))
@@ -247,7 +248,6 @@ def verify_bijection(
     _check_envelope(n, q, limit)
     started = time.perf_counter()
     tables = build_tables(RingParams.create(n, q, factor_order))
-
     flags, found = {}, {}  # check -> passed; failed check -> its first counterexample
 
     def judge(check: str, texts) -> None:
@@ -259,31 +259,33 @@ def verify_bijection(
     law = _word_x_break(tables, full)  # the rotation law's first break
     seconds = [0.0, 0.0, clock() - t0, 0.0]  # per name in STAGES
     failed = []  # (necklace, image, its unmap or None where the image is no function)
-    necklace_by_key, visited, t0 = Counter(), 0, clock()
-    for word in _necklaces(n, q):
-        prof = profile(tables, word)
-        image = map_profiled(tables, word, prof)
-        member = _is_function(n, q, image)
-        necklace_by_key[prof.support] += 1
+    necklace_by_key, visited, necklaces = Counter(), 0, _necklaces(n, q)
+    for chunk in iter(lambda: list(islice(necklaces, CHUNK)), []):
+        t0 = clock()
+        profiles = [profile(tables, word) for word in chunk]
+        images = [map_profiled(tables, word, prof) for word, prof in zip(chunk, profiles)]
+        necklace_by_key.update(prof.support for prof in profiles)
         t1 = clock()
-        if not member or (back := unmap_function(tables, image)) != word:
-            failed.append((word, image, back if member else None))
+        for word, image in zip(chunk, images):
+            member = _is_function(n, q, image)
+            if not member or (back := unmap_function(tables, image)) != word:
+                failed.append((word, image, back if member else None))
         t2 = clock()
         if law is None:
-            visits, law = _walk(tables, word, prof.support, prof, full)
-            visited += visits
-        for k, stage_s in enumerate((t1 - t0, t2 - t1, (t0 := clock()) - t2)):
+            walks = [_walk(tables, w, p.support, p, full) for w, p in zip(chunk, profiles)]
+            visited += sum(visits for visits, _ in walks)
+            law = next((text for _, text in walks if text), None)
+        for k, stage_s in enumerate((t1 - t0, t2 - t1, clock() - t2)):
             seconds[k] += stage_s
 
+    t0 = clock()
     function_by_key = Counter(function_support(tables, values) for values in _functions(n, q))
     necklace_total, function_total = necklace_by_key.total(), function_by_key.total()
     strata = [
         StratumRecord(key, stratum_count(tables, key), necklace_by_key[key], function_by_key[key])
         for key in stratum_keys(tables)
     ]
-    seconds[3] += clock() - t0
-
-    t0 = clock()
+    seconds[3] += (t1 := clock()) - t0
     judge("total", (f"necklace {_csv(word)} maps to {_csv(image)}, not a function"
                     for word, image, back in failed if back is None))
     shared = first = None  # injective's counterexample; each image's first necklace
@@ -300,14 +302,13 @@ def verify_bijection(
         () if first is None else (f"no necklace maps to {_csv(values)}"
                                   for values in _functions(n, q) if values not in first),
         [found["total"]] if "total" in found else []))
-    seconds[0] += clock() - t0
+    seconds[0] += clock() - t1
     judge("inverse_ok", (f"necklace {_csv(word)} maps to {_csv(image)}, " + (
         "not a function" if back is None else f"which unmaps to {_csv(back)}")
         for word, image, back in failed))
     if law is None and visited != q**n:
         law = f"the orbits visit {visited} words, not q^n = {q**n}"
     judge("shift_lemma_ok", [law] if law else [])
-
     formula_total = sum(rec.formula for rec in strata)
     sums_ok = (formula_total == necklace_total
                and sum(rec.function_side for rec in strata) == function_total)
