@@ -46,7 +46,7 @@ DEFAULT_ENVELOPE = 10**8
 STAGES = ("map", "inverse", "rotation law", "strata")
 # necklaces per chunk, each check taking the whole chunk in turn: the checks ran
 # 10-20% slower taken in turn on each necklace
-CHUNK = 256
+CHUNK = 64
 
 
 def _check_envelope(n: int, q: int, limit: int) -> None:
