@@ -21,8 +21,9 @@ rotating the word by k places give
     ws(k) = ws0 + k * g  (mod n),   g = gcd(n, supported reps),
 
 while the word's least period is n / g.  So k = -ws0 / g (mod n / g) names
-exactly one rotation, and its profile comes from the word's own profile
-by the shift law (dlog.rotate_profile).  Every step is invertible, which
+exactly one rotation.  By the shift law that rotation has the word's own
+offsets and its turns plus k, so the map adds k to the word's turns before
+aligning them and builds no rotated profile.  Every step is invertible, which
 is what unmap_function walks backwards, by the same law: a residue of log
 turns * x_exponent + offset is x**turns * generator**offset, so the
 inverse reads x**turns from its quotient's list (x_powers) and raises the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from .automorphism import UnitAutomorphism
 from .decomposition import CosetTable, crt_combine, orbit_canonical, shift
-from .dlog import ResidueProfile, profile, rotate_profile
+from .dlog import ResidueProfile, profile
 from .errors import NotInFError, RangeViolationError, UniquenessViolationError
 
 
@@ -42,19 +43,21 @@ def weighted_sum(n: int, values) -> int:
     return sum(v * c for v, c in enumerate(values)) % n
 
 
-def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism) -> tuple[int, ...]:
-    """Rotation counters of the supported cosets after calibration."""
-    return aut.apply(tuple(prof.entry(i, j).turns for i, j in aut.pairs))
+def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism, k: int = 0) -> tuple[int, ...]:
+    """Rotation counters of the supported cosets after calibration, of the word shifted
+    by k places: by the shift law each of its turns is k more than the word's."""
+    return aut.apply(tuple(prof.entry(i, j).turns + k for i, j in aut.pairs))
 
 
 def encode_components(
-    tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism
+    tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism, k: int = 0
 ) -> dict[tuple[int, int], int]:
-    """{(i, j): offset * rotation_order + aligned turns} of the supported cosets,
-    each below the quotient's unit-group order q_i**size - 1, which is also the
-    saturated digit block of an unsupported coset."""
+    """{(i, j): offset * rotation_order + aligned turns} of the supported cosets of the
+    word shifted by k places, whose offsets are the word's own (the shift law), each
+    below the quotient's unit-group order q_i**size - 1, which is also the saturated
+    digit block of an unsupported coset."""
     payloads = {}
-    for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut)):
+    for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut, k)):
         qctx = tables.blocks[i].quotients[j]
         bound = qctx.group_order
         payload = prof.entry(i, j).offset * qctx.rotation_order + aligned
@@ -130,7 +133,7 @@ def map_profiled(tables: CosetTable, word, prof: ResidueProfile) -> tuple[int, .
 
     With ws0 the weighted sum of the word's own image and g the calibration
     step, the zero-sum rotation is k = -ws0 / g (mod n / g), and only that
-    rotation is encoded, its profile taken from `prof` by the shift law.
+    rotation is encoded, from `prof` with k added to its turns (the shift law).
     g must divide ws0, n / g must be a period of the word, and the image
     must have weighted sum 0; anything else is a broken invariant.  The
     oracle maps each necklace from the profile its rotation walk reuses.
@@ -149,9 +152,7 @@ def map_profiled(tables: CosetTable, word, prof: ResidueProfile) -> tuple[int, .
             f"n/g = {period} is not a period of the word; several rotations reach 0"
         )
     k = -(ws0 // g) % period
-    image = combine_components(
-        tables, encode_components(tables, rotate_profile(tables, prof, k), aut)
-    )
+    image = combine_components(tables, encode_components(tables, prof, aut, k))
     if weighted_sum(n, image) != 0:
         raise UniquenessViolationError("the solved rotation has a nonzero weighted sum")
     return image

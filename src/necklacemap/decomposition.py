@@ -154,7 +154,8 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None, factored=None) -> list[
     if cosets is None:
         cosets = cyclotomic_cosets(n, field.order)
     orders = [n // math.gcd(n, c.rep) for c in cosets]
-    if any(c.size < euler_phi(m) for c, m in zip(cosets, orders)):
+    phi = {m: euler_phi(m) for m in set(orders)}  # each order factorized once
+    if any(c.size < phi[m] for c, m in zip(cosets, orders)):
         # no coset outgrows the coset of 1, whose size is the order of |field| mod n
         ext = extend_field(field, max(c.size for c in cosets))
         omega = _root_of_unity(ext, n, factored)
@@ -164,7 +165,7 @@ def factor_xn_minus_1(n: int, field: Field, cosets=None, factored=None) -> list[
 
     factors, memo = [], {}
     for coset, m in zip(cosets, orders):
-        if coset.size == euler_phi(m):
+        if coset.size == phi[m]:
             factor = cyclotomic_polynomial(field, m, memo)
         else:
             powers = [roots[coset.rep * k % n] for k in range(coset.size + 1)]  # b = w**rep

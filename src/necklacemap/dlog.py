@@ -5,8 +5,8 @@ log = turns * x_exponent + offset.  Rotating the word by one place
 multiplies every residue by x_class = generator**x_exponent, so it adds
 x_exponent to the log: `turns` advances by one (mod rotation_order) while
 `offset` never moves; offset is the rotation-invariant part.  This shift
-law holds on every support (zero residues stay zero), and rotate_profile
-applies it.
+law holds on every support (zero residues stay zero): the map encodes a
+rotation by k by adding k to the word's turns (bijection.aligned_turns).
 """
 
 from __future__ import annotations
@@ -65,16 +65,3 @@ def split_support(tables: CosetTable, word) -> tuple[tuple[int, ...], ...]:
     word = tables.check_word(word)
     return tuple(block.split.support(word) for block in tables.blocks)
 
-
-def rotate_profile(tables: CosetTable, prof: ResidueProfile, k: int) -> ResidueProfile:
-    """Profile of the word shifted by k places, from the word's own profile.
-
-    Equals profile(tables, shift(word, k)) by the shift law, without
-    splitting the shifted word again or taking any discrete log.
-    """
-    entries = {}
-    for (i, j), entry in prof.entries.items():
-        qctx = tables.blocks[i].quotients[j]
-        turns = (entry.turns + k) % qctx.rotation_order
-        entries[(i, j)] = DlogEntry(turns=turns, offset=entry.offset)
-    return ResidueProfile(support=prof.support, entries=entries)

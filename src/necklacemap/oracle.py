@@ -18,10 +18,11 @@ before either side is enumerated in full.
 Each necklace is profiled once, and that profile is all verify shares with
 the map: the necklace is mapped from it (map_profiled), the strata count its
 support, and its orbit's walk (_walk) starts from it.  What judges the map
-never reads rotate_profile, the map's solve of the zero-sum rotation or the
-calibration: enumeration and weighted sums are written here, the inverse
-check compares unmap_function (itself under test) with the enumerated word,
-and the walk splits or profiles every other rotation itself.
+never reads the map's shift law (k added to a word's turns), its solve of
+the zero-sum rotation or the calibration: enumeration and weighted sums are
+written here, the inverse check compares unmap_function (itself under test)
+with the enumerated word, and the walk splits or profiles every other
+rotation itself.
 """
 
 from __future__ import annotations
@@ -169,27 +170,28 @@ def _walk(tables: CosetTable, necklace, support, prof, full) -> tuple[int, str |
     return len(orbit), None
 
 
-def _shift_lemma_holds(tables: CosetTable, necklaces, supports=None, profiles=None) -> bool:
+def _shift_lemma_holds(tables: CosetTable, necklaces) -> bool:
     """Rotation law of the log split, checked exhaustively: the word x, then _walk on the
-    orbit of every necklace, visiting every word once, so by induction a shift by k adds
-    k turns.  `supports` and `profiles` (None where not fully supported) are taken here
-    where not given."""
+    orbit of each necklace in turn from its split_support, up to the first break.  The
+    orbits must visit every word once, so by induction a shift by k adds k turns."""
     full = _full_support(tables)
     if _word_x_break(tables, full) is not None:
         return False
-    supports = supports or [split_support(tables, necklace) for necklace in necklaces]
-    profiles = profiles or [None] * len(necklaces)
-    walks = [_walk(tables, *args, full) for args in zip(necklaces, supports, profiles, strict=True)]
-    return (all(text is None for _, text in walks)
-            and sum(visits for visits, _ in walks) == tables.params.q ** tables.params.n)
+    visited = 0
+    for necklace in necklaces:
+        visits, text = _walk(tables, necklace, split_support(tables, necklace), None, full)
+        if text is not None:
+            return False
+        visited += visits
+    return visited == tables.params.q ** tables.params.n
 
 
 def verify_shift_lemma(n: int, q: int, factor_order: str = "desc",
                        limit: int = DEFAULT_ENVELOPE) -> bool:
-    """Standalone entry point for the rotation-law check."""
+    """Standalone entry point for the rotation-law check, streaming the necklaces."""
     _check_envelope(n, q, limit)
     tables = build_tables(RingParams.create(n, q, factor_order))
-    return _shift_lemma_holds(tables, enum_necklaces(n, q, limit))
+    return _shift_lemma_holds(tables, _necklaces(n, q))
 
 
 @dataclass(frozen=True)

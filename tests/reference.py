@@ -5,6 +5,9 @@
   solves for the rotation instead.
 - shift_lemma_holds_all_k profiles every rotation by k of every fully
   supported word; the library's verifier checks the one-step law.
+- rotate_profile builds the profile of the word shifted by k places from
+  the word's own profile, by the shift law; the library's map adds k to
+  the turns it aligns (bijection.aligned_turns) and builds no profile.
 - dlog_by_bsgs takes a log by one baby-step giant-step over the whole
   unit group, ceil(sqrt(N)) baby steps; QuotientFieldCtx.dlog splits the
   group along the prime powers of N (Pohlig-Hellman) and runs BSGS only in
@@ -147,6 +150,20 @@ def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
                     if bk.offset != b0.offset:
                         return False
     return True
+
+
+def rotate_profile(tables: CosetTable, prof: dlog.ResidueProfile, k: int) -> dlog.ResidueProfile:
+    """Profile of the word shifted by k places, from the word's own profile.
+
+    Equals profile(tables, shift(word, k)) by the shift law, without
+    splitting the shifted word again or taking any discrete log.
+    """
+    entries = {}
+    for (i, j), entry in prof.entries.items():
+        qctx = tables.blocks[i].quotients[j]
+        turns = (entry.turns + k) % qctx.rotation_order
+        entries[(i, j)] = dlog.DlogEntry(turns=turns, offset=entry.offset)
+    return dlog.ResidueProfile(support=prof.support, entries=entries)
 
 
 def necklaces_by_filter(n: int, q: int) -> list[tuple[int, ...]]:

@@ -114,14 +114,14 @@ class TestCodec:
         j = profile(t, word).support[0][-1]
         qctx, size = t.blocks[0].quotients[j], t.blocks[0].cosets[j].size
         assert qctx.x_exponent * qctx.rotation_order == 4**size - 1
-        real = bijection.rotate_profile
+        real = bijection.encode_components
 
-        def saturate(tables, prof, k):
-            rotated = real(tables, prof, k)
-            entry = replace(rotated.entry(0, j), turns=0, offset=qctx.x_exponent)
-            return replace(rotated, entries={**rotated.entries, (0, j): entry})
+        def saturate(tables, prof, aut, k=0):
+            # turns -k: the rotation by k has zero turns, so zero aligned turns
+            entry = replace(prof.entry(0, j), turns=-k, offset=qctx.x_exponent)
+            return real(tables, replace(prof, entries={**prof.entries, (0, j): entry}), aut, k)
 
-        monkeypatch.setattr(bijection, "rotate_profile", saturate)
+        monkeypatch.setattr(bijection, "encode_components", saturate)
         with pytest.raises(RangeViolationError):
             map_necklace(t, word)
 
@@ -193,9 +193,9 @@ class TestSolveGuards:
                 assert least == n // step
 
     def test_wrong_rotation_is_caught(self, tables_for, monkeypatch):
-        real = bijection.rotate_profile
+        real = bijection.encode_components
         monkeypatch.setattr(
-            bijection, "rotate_profile", lambda t, prof, k: real(t, prof, k + 1)
+            bijection, "encode_components", lambda t, prof, aut, k=0: real(t, prof, aut, k + 1)
         )
         with pytest.raises(UniquenessViolationError):
             map_necklace(tables_for(5, 4), (0, 1, 2, 3, 0))

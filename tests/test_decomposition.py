@@ -325,6 +325,17 @@ class TestSetupCost:
         build_tables(RingParams.create(63, 2))
         assert calls <= 8500
 
+    @pytest.mark.parametrize("n,q,orders", [(31, 2, 2), (255, 2, 8)])
+    def test_each_coset_order_takes_phi_once(self, monkeypatch, n, q, orders):
+        # euler_phi factorizes its order: the split test and the factor loop read one
+        # value per distinct order m = n / gcd(n, rep), that is per divisor of n here
+        calls = []
+        monkeypatch.setattr(
+            decomposition, "euler_phi", lambda m: calls.append(m) or euler_phi(m)
+        )
+        build_tables(RingParams.create(n, q))
+        assert len(calls) == len(set(calls)) == orders
+
     @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (255, 2)])
     def test_quotients_divide_nothing_by_their_modulus(self, monkeypatch, n, q):
         # a quotient proves P | x**R - 1 and reads (x**R - 1) / P off one walk of x's

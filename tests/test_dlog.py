@@ -6,11 +6,12 @@ import pytest
 
 from necklacemap import fields
 from necklacemap.decomposition import build_tables, shift
-from necklacemap.dlog import profile, rotate_profile, split_log
+from necklacemap.bijection import encode_components
+from necklacemap.dlog import profile, split_log
 from necklacemap.errors import EnvelopeExceededError, ZeroElementError
 from necklacemap.fields import ExtensionField, PrimeField, QuotientFieldCtx, discrete_log
 from necklacemap.numtheory import RingParams, factorize
-from reference import dlog_by_bsgs
+from reference import dlog_by_bsgs, rotate_profile
 
 
 def all_quotients(tables):
@@ -305,9 +306,15 @@ def test_rotation_law_exhaustive(tables_for, n, q):
 @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2)])
 def test_rotate_profile_matches_shifted_word(tables_for, n, q):
     """The shift law on every support: partial supports and words whose
-    period is shorter than n included, which the verifier does not check."""
+    period is shorter than n included, which the verifier does not check.
+    The map's form of it, k added to the word's turns before they are
+    aligned, encodes the shifted word's own profile."""
     tables = tables_for(n, q)
     profiles = {w: profile(tables, w) for w in product(range(q), repeat=n)}
     for word, prof in profiles.items():
+        aut = tables.automorphisms.for_support(prof.support)
         for k in range(n):
             assert rotate_profile(tables, prof, k) == profiles[shift(word, k)]
+            assert encode_components(tables, prof, aut, k) == encode_components(
+                tables, profiles[shift(word, k)], aut
+            )

@@ -350,27 +350,40 @@ class TestShiftLemma:
         monkeypatch.setattr(oracle, "split_support", perturbed)
         assert oracle._shift_lemma_holds(tables, necklaces) is False
 
-    def test_shared_support_is_judged_on_every_rotation(self, tables_for):
-        # the walk takes each necklace's support from the list it is given; one partly
-        # supported necklace listed as fully supported must fail against its rotations
+    def test_shared_support_is_judged_on_every_rotation(self, tables_for, monkeypatch):
+        # the walk takes each necklace's support from its split; one partly supported
+        # necklace whose split reports the full support must fail against its rotations
         tables = tables_for(5, 4)
         full = oracle._full_support(tables)
         necklaces = enum_necklaces(5, 4)
-        supports = [dlog.split_support(tables, w) for w in necklaces]
-        assert oracle._shift_lemma_holds(tables, necklaces, supports) is True
-        k = next(k for k, w in enumerate(necklaces) if len(set(w)) > 1 and supports[k] != full)
-        supports[k] = full
-        assert oracle._shift_lemma_holds(tables, necklaces, supports) is False
+        genuine = dlog.split_support
+        necklace = next(w for w in necklaces if len(set(w)) > 1 and genuine(tables, w) != full)
+        assert oracle._shift_lemma_holds(tables, necklaces) is True
+
+        def perturbed(tables_arg, word):
+            return full if tuple(word) == necklace else genuine(tables_arg, word)
+
+        monkeypatch.setattr(oracle, "split_support", perturbed)
+        assert oracle._shift_lemma_holds(tables, necklaces) is False
 
     @pytest.mark.parametrize("n,q", [(5, 4), (3, 10)])
     def test_the_walk_never_rotates_a_profile(self, tables_for, monkeypatch, n, q):
-        # the walk profiles each rotation from its own split, never by the map's shift law
+        # the walk profiles each rotation from its own split, never by the map's shift
+        # law (k added to the word's turns before they are aligned and encoded)
         def refused(*args):
-            raise AssertionError("rotate_profile called")
+            raise AssertionError("the map's shift law was read")
 
-        monkeypatch.setattr(bijection, "rotate_profile", refused)
-        monkeypatch.setattr(dlog, "rotate_profile", refused)
+        monkeypatch.setattr(bijection, "aligned_turns", refused)
+        monkeypatch.setattr(bijection, "encode_components", refused)
         assert oracle._shift_lemma_holds(tables_for(n, q), enum_necklaces(n, q)) is True
+
+    def test_verify_shift_lemma_streams_its_necklaces(self, monkeypatch):
+        # the standalone check walks the necklaces as they are generated, with no list
+        def refused(*args):
+            raise AssertionError("enum_necklaces called")
+
+        monkeypatch.setattr(oracle, "enum_necklaces", refused)
+        assert verify_shift_lemma(5, 4) is True
 
     def test_missing_necklace_fails_the_walk(self, tables_for):
         tables = tables_for(5, 4)
