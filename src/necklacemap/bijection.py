@@ -2,10 +2,12 @@
 
 Forward direction, per word:
  1. split: residues in every quotient field, support = nonzero pattern;
- 2. discrete logs, split into (turns, offset) per supported coset;
- 3. align the turns with the unit automorphism for this support;
- 4. payload = offset * rotation_order + aligned_turns per supported coset
-    (encode_components);
+ 2. one discrete log per supported coset, which the codec alone splits as
+    turns * x_exponent + offset;
+ 3. align the turns (log // x_exponent) with the unit automorphism for this
+    support;
+ 4. payload = offset * rotation_order + aligned_turns per supported coset,
+    the offset being log % x_exponent (encode_components);
  5. the payloads write the color values f(v) = sum_i w_i * digit_i(v)
     directly (combine_components): every value starts at q - 1, each digit
     saturated at q_i - 1 as an unsupported coset shows, and each payload
@@ -21,13 +23,13 @@ rotating the word by k places give
     ws(k) = ws0 + k * g  (mod n),   g = gcd(n, supported reps),
 
 while the word's least period is n / g.  So k = -ws0 / g (mod n / g) names
-exactly one rotation.  By the shift law that rotation has the word's own
-offsets and its turns plus k, so the map adds k to the word's turns before
-aligning them and builds no rotated profile.  Every step is invertible, which
-is what unmap_function walks backwards, by the same law: a residue of log
-turns * x_exponent + offset is x**turns * generator**offset, so the
-inverse reads x**turns from its quotient's list (x_powers) and raises the
-generator only to the offset, below x_exponent.
+exactly one rotation.  By the shift law its logs are the word's plus
+k * x_exponent: the word's own offsets and its turns plus k, so the map adds k
+to the word's turns before aligning them and builds no rotated profile.  Every
+step is invertible, which is what unmap_function walks backwards, by the same
+law: a residue of log turns * x_exponent + offset is x**turns *
+generator**offset, so the inverse reads x**turns from its quotient's list
+(x_powers) and raises the generator only to the offset, below x_exponent.
 """
 
 from __future__ import annotations
@@ -43,27 +45,30 @@ def weighted_sum(n: int, values) -> int:
     return sum(v * c for v, c in enumerate(values)) % n
 
 
-def aligned_turns(prof: ResidueProfile, aut: UnitAutomorphism, k: int = 0) -> tuple[int, ...]:
-    """Rotation counters of the supported cosets after calibration, of the word shifted
-    by k places: by the shift law each of its turns is k more than the word's."""
-    return aut.apply(tuple(prof.entry(i, j).turns + k for i, j in aut.pairs))
+def aligned_turns(
+    tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism, k: int = 0
+) -> tuple[int, ...]:
+    """Rotation counters log // x_exponent of the supported cosets after calibration, of
+    the word shifted by k places: by the shift law each of its turns is k more than the
+    word's."""
+    blocks = tables.blocks
+    return aut.apply(tuple(prof.logs[i, j] // blocks[i].quotients[j].x_exponent + k
+                           for i, j in aut.pairs))
 
 
 def encode_components(
     tables: CosetTable, prof: ResidueProfile, aut: UnitAutomorphism, k: int = 0
 ) -> dict[tuple[int, int], int]:
     """{(i, j): offset * rotation_order + aligned turns} of the supported cosets of the
-    word shifted by k places, whose offsets are the word's own (the shift law), each
-    below the quotient's unit-group order q_i**size - 1, which is also the saturated
-    digit block of an unsupported coset."""
+    word shifted by k places, whose offsets log % x_exponent are the word's own (the
+    shift law).  Each log lies below the quotient's unit-group order q_i**size - 1, the
+    saturated digit block of an unsupported coset, and so does its payload."""
     payloads = {}
-    for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut, k)):
-        qctx = tables.blocks[i].quotients[j]
-        bound = qctx.group_order
-        payload = prof.entry(i, j).offset * qctx.rotation_order + aligned
-        if not 0 <= payload < bound:
-            raise RangeViolationError(f"digit payload {payload} escapes [0, {bound})")
-        payloads[(i, j)] = payload
+    for (i, j), aligned in zip(aut.pairs, aligned_turns(tables, prof, aut, k)):
+        qctx, log = tables.blocks[i].quotients[j], prof.logs[i, j]
+        if not 0 <= log < qctx.group_order:
+            raise RangeViolationError(f"log {log} escapes [0, {qctx.group_order})")
+        payloads[(i, j)] = log % qctx.x_exponent * qctx.rotation_order + aligned
     return payloads
 
 
@@ -140,7 +145,7 @@ def map_profiled(tables: CosetTable, word, prof: ResidueProfile) -> tuple[int, .
     """
     n = tables.params.n
     aut = tables.automorphisms.for_support(prof.support)
-    ws0 = sum(c * a for c, a in zip(aut.coeffs, aligned_turns(prof, aut))) % n
+    ws0 = sum(c * a for c, a in zip(aut.coeffs, aligned_turns(tables, prof, aut))) % n
     g = aut.step
     if ws0 % g:
         raise UniquenessViolationError(

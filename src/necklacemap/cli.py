@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -95,10 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_colors(text: str, n: int) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    """Comma-separated decimal integers: ASCII digits with an optional sign, blanks around."""
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
         raise ValueError(f"could not parse {text!r} as comma-separated integers")
+    values = tuple(map(int, parts))
     if len(values) != n:
         raise ValueError(f"expected {n} comma-separated entries, got {len(values)}")
     return values

@@ -4,7 +4,7 @@ This module is the ground truth: it generates every necklace and every
 zero-sum function inside a size envelope, by rules that share no code with
 the map, and checks totality (each image is a function by the rule that
 generates them), injectivity, surjectivity, the inverse round trip, the
-rotation law of the log split and every stratum count against its formula.
+rotation law of the logs and every stratum count against its formula.
 
 verify_bijection streams both sides, holding one chunk of necklaces with
 their profiles and images at a time, and a count per support.  A map with a
@@ -38,7 +38,7 @@ from .bijection import map_necklace  # noqa: F401  bench/tracer.py hooks it here
 from .counting import stratum_count, stratum_keys, support_text
 from .decomposition import CosetTable, build_tables, shift
 from .decomposition import orbit_canonical  # noqa: F401  bench/tracer.py hooks it here
-from .dlog import DlogEntry, ResidueProfile, profile, split_support
+from .dlog import ResidueProfile, profile, split_support
 from .errors import EnvelopeExceededError
 from .numtheory import RingParams
 
@@ -51,13 +51,15 @@ CHUNK = 64
 
 
 def _check_envelope(n: int, q: int, limit: int) -> None:
-    """Refuse n*q^n > limit without building q**n when bit lengths decide it.
+    """Refuse n or q below 1, and n*q^n > limit without building q**n when bit lengths decide it.
 
     n*q^n >= 2**((n.bit_length() - 1) + n*(q.bit_length() - 1)), so that
     exponent reaching limit.bit_length() already exceeds the limit; below
     it, q**n has at most about twice limit's bits.  The product never goes
     into the message: it may have more digits than int-to-str allows.
     """
+    if n < 1 or q < 1:
+        raise ValueError(f"need positive n and q, got n={n}, q={q}")
     low_bits = (n.bit_length() - 1) + n * (q.bit_length() - 1)
     if low_bits >= limit.bit_length() or n * q**n > limit:
         raise EnvelopeExceededError(
@@ -121,24 +123,26 @@ def _full_support(tables: CosetTable) -> tuple[tuple[int, ...], ...]:
 
 
 def _turn_break(tables: CosetTable, seen, base) -> str | None:
-    """First quotient, in words, where profile `seen` is not one turn past `base`, or None."""
-    for i, block in enumerate(tables.blocks):
-        for j, qctx in enumerate(block.quotients):
-            got, was, order = seen.entry(i, j), base.entry(i, j), qctx.rotation_order
-            if got.turns % order != (1 + was.turns) % order or got.offset != was.offset:
-                return (f"quotient ({i + 1}, {j + 1}) shows turns {got.turns % order} and "
-                        f"offset {got.offset}, expected turns {(1 + was.turns) % order} "
-                        f"and offset {was.offset}")
+    """First quotient, in words, where profile `seen` is not one shift past `base`, or None:
+    where its log is not (log + x_exponent) % group_order of `base`'s log.  The break is
+    named by the logs' turns and offsets, divmod(log, x_exponent)."""
+    for (i, j), was in base.logs.items():
+        qctx = tables.blocks[i].quotients[j]
+        if (got := seen.logs[i, j]) != (want := (was + qctx.x_exponent) % qctx.group_order):
+            (turns, offset), (want_turns, want_offset) = (
+                divmod(log, qctx.x_exponent) for log in (got, want))
+            return (f"quotient ({i + 1}, {j + 1}) shows turns {turns} and offset {offset}, "
+                    f"expected turns {want_turns} and offset {want_offset}")
     return None
 
 
 def _word_x_break(tables: CosetTable, full) -> str | None:
     """Part one of the rotation law: the bare word x, the word 1 shifted once, is fully
-    supported and one turn past it.  Its first break in words, or None."""
+    supported and one shift past it.  Its first break in words, or None."""
     prof = profile(tables, shift((1 % tables.params.q,) + (0,) * (tables.params.n - 1), 1))
     if prof.support != full:
         return f"the word x has support {support_text(prof.support)}, not {support_text(full)}"
-    one = ResidueProfile(full, dict.fromkeys(prof.entries, DlogEntry(0, 0)))  # the word 1
+    one = ResidueProfile(full, dict.fromkeys(prof.logs, 0))  # the word 1
     return (text := _turn_break(tables, prof, one)) and f"the word x: {text}"
 
 
@@ -146,7 +150,7 @@ def _walk(tables: CosetTable, necklace, support, prof, full) -> tuple[int, str |
     """Part two of the rotation law on one necklace's orbit: the words it visits, and the
     law's first break on it in words, or None.  A fully supported orbit profiles each
     rotation once (the necklace by `prof` where given) and compares it with the next, the
-    last with the necklace: one shift adds one turn and keeps the offset.  On any other
+    last with the necklace: one shift adds x_exponent to every log.  On any other
     orbit no log is taken: every rotation's split_support must equal `support`."""
     orbit = [necklace]
     while (word := shift(orbit[-1], 1)) != necklace:
@@ -171,9 +175,9 @@ def _walk(tables: CosetTable, necklace, support, prof, full) -> tuple[int, str |
 
 
 def _shift_lemma_holds(tables: CosetTable, necklaces) -> bool:
-    """Rotation law of the log split, checked exhaustively: the word x, then _walk on the
+    """Rotation law of the logs, checked exhaustively: the word x, then _walk on the
     orbit of each necklace in turn from its split_support, up to the first break.  The
-    orbits must visit every word once, so by induction a shift by k adds k turns."""
+    orbits must visit every word once, so by induction a shift by k adds k * x_exponent."""
     full = _full_support(tables)
     if _word_x_break(tables, full) is not None:
         return False

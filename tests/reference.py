@@ -6,8 +6,9 @@
 - shift_lemma_holds_all_k profiles every rotation by k of every fully
   supported word; the library's verifier checks the one-step law.
 - rotate_profile builds the profile of the word shifted by k places from
-  the word's own profile, by the shift law; the library's map adds k to
-  the turns it aligns (bijection.aligned_turns) and builds no profile.
+  the word's own profile, by the shift law (k * x_exponent added to every
+  log); the library's map adds k to the turns it aligns
+  (bijection.aligned_turns) and builds no profile.
 - dlog_by_bsgs takes a log by one baby-step giant-step over the whole
   unit group, ceil(sqrt(N)) baby steps; QuotientFieldCtx.dlog splits the
   group along the prime powers of N (Pohlig-Hellman) and runs BSGS only in
@@ -110,12 +111,17 @@ def map_necklace_by_trial(tables: CosetTable, word) -> tuple[int, ...]:
     return hits[0]
 
 
-def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
-    """Rotation law of the log split, checked for every k in 1..n-1.
+def _shifted_log(qctx: QuotientFieldCtx, log: int, k: int) -> int:
+    """The log of a residue multiplied by x**k: k * x_exponent more, mod group_order."""
+    return (log + k * qctx.x_exponent) % qctx.group_order
 
-    Part one: for the bare word x, every supported coset shows one turn and
-    zero offset.  Part two: on every fully-supported word, rotating by k
-    adds k to the turns (mod rotation_order) and never moves the offset.
+
+def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
+    """Rotation law of the logs, checked for every k in 1..n-1.
+
+    Part one: for the bare word x, every supported coset shows the log
+    x_exponent (mod group_order).  Part two: on every fully-supported word,
+    rotating by k adds k * x_exponent to every log (mod group_order).
     Profiles come from dlog.profile, looked up at call time.
     """
     n, q = tables.params.n, tables.params.q
@@ -127,10 +133,7 @@ def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
         return False
     for i, block in enumerate(tables.blocks):
         for j, qctx in enumerate(block.quotients):
-            entry = prof_x.entry(i, j)
-            if entry.turns % qctx.rotation_order != 1 % qctx.rotation_order:
-                return False
-            if entry.offset != 0:
+            if prof_x.logs[(i, j)] != _shifted_log(qctx, 0, 1):
                 return False
 
     for word in product(range(q), repeat=n):
@@ -143,11 +146,7 @@ def shift_lemma_holds_all_k(tables: CosetTable) -> bool:
                 return False
             for i, block in enumerate(tables.blocks):
                 for j, qctx in enumerate(block.quotients):
-                    b0 = base.entry(i, j)
-                    bk = rotated.entry(i, j)
-                    if bk.turns % qctx.rotation_order != (k + b0.turns) % qctx.rotation_order:
-                        return False
-                    if bk.offset != b0.offset:
+                    if rotated.logs[(i, j)] != _shifted_log(qctx, base.logs[(i, j)], k):
                         return False
     return True
 
@@ -158,12 +157,9 @@ def rotate_profile(tables: CosetTable, prof: dlog.ResidueProfile, k: int) -> dlo
     Equals profile(tables, shift(word, k)) by the shift law, without
     splitting the shifted word again or taking any discrete log.
     """
-    entries = {}
-    for (i, j), entry in prof.entries.items():
-        qctx = tables.blocks[i].quotients[j]
-        turns = (entry.turns + k) % qctx.rotation_order
-        entries[(i, j)] = dlog.DlogEntry(turns=turns, offset=entry.offset)
-    return dlog.ResidueProfile(support=prof.support, entries=entries)
+    logs = {(i, j): _shifted_log(tables.blocks[i].quotients[j], log, k)
+            for (i, j), log in prof.logs.items()}
+    return dlog.ResidueProfile(support=prof.support, logs=logs)
 
 
 def necklaces_by_filter(n: int, q: int) -> list[tuple[int, ...]]:

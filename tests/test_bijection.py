@@ -97,18 +97,19 @@ class TestCodec:
         for word in product(range(q), repeat=n):
             prof = profile(t, word)
             aut = t.automorphisms.for_support(prof.support)
+            quotients = [block.quotients for block in t.blocks]
             expected = {
-                (i, j): prof.entry(i, j).offset * t.blocks[i].quotients[j].rotation_order
-                + aligned
-                for (i, j), aligned in zip(aut.pairs, aligned_turns(prof, aut))
+                (i, j): prof.logs[(i, j)] % quotients[i][j].x_exponent
+                * quotients[i][j].rotation_order + aligned
+                for (i, j), aligned in zip(aut.pairs, aligned_turns(t, prof, aut))
             }
             assert live_payloads(t, encode_word(t, word)) == expected
             supported = [(i, j) for i, live in enumerate(prof.support) for j in live]
             assert list(expected) == supported
 
     def test_saturated_payload_is_out_of_range(self, tables_for, monkeypatch):
-        # offset = x_exponent with zero turns gives payload q_i**size - 1,
-        # the all-(q_i - 1) digit block that marks an unsupported coset
+        # the log x_exponent * rotation_order = q_i**size - 1, the all-(q_i - 1) digit
+        # block that marks an unsupported coset, is one past the largest log
         t = tables_for(5, 4)
         word = (0, 1, 2, 3, 0)
         j = profile(t, word).support[0][-1]
@@ -117,9 +118,8 @@ class TestCodec:
         real = bijection.encode_components
 
         def saturate(tables, prof, aut, k=0):
-            # turns -k: the rotation by k has zero turns, so zero aligned turns
-            entry = replace(prof.entry(0, j), turns=-k, offset=qctx.x_exponent)
-            return real(tables, replace(prof, entries={**prof.entries, (0, j): entry}), aut, k)
+            logs = {**prof.logs, (0, j): qctx.x_exponent * qctx.rotation_order}
+            return real(tables, replace(prof, logs=logs), aut, k)
 
         monkeypatch.setattr(bijection, "encode_components", saturate)
         with pytest.raises(RangeViolationError):

@@ -224,8 +224,13 @@ class TestExitCodes:
         [
             (("map", "17", "3", "1,1"), "expected 17 comma-separated entries, got 2"),
             (("unmap", "33", "4", "1,x"), "could not parse '1,x' as comma-separated integers"),
+            # int() reads both as 10 and 1; neither is comma-separated decimal
+            (("map", "3", "20", "1_0,0,1"),
+             "could not parse '1_0,0,1' as comma-separated integers"),
+            (("map", "3", "20", "\u0661,0,1"),
+             "could not parse '\u0661,0,1' as comma-separated integers"),
         ],
-        ids=["map", "unmap"],
+        ids=["map", "unmap", "underscore", "arabic-indic-digit"],
     )
     def test_malformed_colors_exit_2_before_any_build(self, capsys, monkeypatch, argv, message):
         def no_build(params):

@@ -6,8 +6,8 @@ import pytest
 
 from necklacemap import fields
 from necklacemap.decomposition import build_tables, shift
-from necklacemap.bijection import encode_components
-from necklacemap.dlog import profile, split_log
+from necklacemap.bijection import aligned_turns, encode_components
+from necklacemap.dlog import ResidueProfile, profile
 from necklacemap.errors import EnvelopeExceededError, ZeroElementError
 from necklacemap.fields import ExtensionField, PrimeField, QuotientFieldCtx, discrete_log
 from necklacemap.numtheory import RingParams, factorize
@@ -240,44 +240,50 @@ class TestWholeGroupLeaf:
 
 
 class TestSplitLog:
+    """Only the codec splits a log: turns log // x_exponent, offset log % x_exponent."""
+
     def test_quotient_remainder(self, tables_for):
         t = tables_for(3, 10)
         qc_lin = t.blocks[0].quotients[0]  # x_exponent 4
-        assert split_log(qc_lin, 3) == (0, 3)
-        assert split_log(qc_lin, 0) == (0, 0)
         qc_quad = t.blocks[0].quotients[1]  # x_exponent 8
-        assert split_log(qc_quad, 10) == (1, 2)
+        assert (qc_lin.x_exponent, qc_quad.x_exponent) == (4, 8)
+        prof = profile(t, (1, 0, 0))
+        # log 3 reads as (turns 0, offset 3), log 10 as (turns 1, offset 2)
+        prof = ResidueProfile(prof.support, {**prof.logs, (0, 0): 3, (0, 1): 10})
+        aut = t.automorphisms.for_support(prof.support)
+        assert aut.pairs[:2] == ((0, 0), (0, 1))
+        turns = aligned_turns(t, prof, aut)
+        assert turns == aut.apply((0, 1) + (0,) * (len(aut.pairs) - 2))
+        payloads = encode_components(t, prof, aut)
+        assert payloads[(0, 0)] == 3 * qc_lin.rotation_order + turns[0]
+        assert payloads[(0, 1)] == 2 * qc_quad.rotation_order + turns[1]
 
     def test_ranges(self, tables_for):
-        for _, _, qc in all_quotients(tables_for(5, 4)):
-            for log in range(qc.group_order):
-                turns, offset = split_log(qc, log)
-                assert 0 <= turns < qc.rotation_order
-                assert 0 <= offset < qc.x_exponent
-                assert turns * qc.x_exponent + offset == log
-
-    def test_out_of_range(self, tables_for):
-        qc = tables_for(3, 10).blocks[0].quotients[0]
-        with pytest.raises(ValueError):
-            split_log(qc, qc.group_order)
+        # x_exponent * rotation_order = group_order, and every log lies in [0, group_order)
+        t = tables_for(5, 4)
+        for _, _, qc in all_quotients(t):
+            assert qc.x_exponent * qc.rotation_order == qc.group_order
+        for word in product(range(4), repeat=5):
+            for (i, j), log in profile(t, word).logs.items():
+                assert 0 <= log < t.blocks[i].quotients[j].group_order
 
 
 class TestProfile:
     def test_worked_support(self, tables_for):
         prof = profile(tables_for(3, 10), (1, 1, 1))
         assert prof.support == ((0,), (0,))
-        assert prof.entry(0, 0).turns == 0 and prof.entry(0, 0).offset == 3
+        assert prof.logs[(0, 0)] == 3  # turns 0, offset 3 at x_exponent 4
 
     def test_zero_word(self, tables_for):
         prof = profile(tables_for(3, 10), (0, 0, 0))
         assert prof.support == ((), ())
-        assert prof.entries == {}
+        assert prof.logs == {}
 
     def test_constant_one_polynomial(self, tables_for):
         t = tables_for(3, 10)
         prof = profile(t, (1, 0, 0))
         assert prof.support == ((0, 1), (0, 1))
-        assert all(e.turns == 0 and e.offset == 0 for e in prof.entries.values())
+        assert all(log == 0 for log in prof.logs.values())
 
 
 def unit_words(tables):
@@ -289,7 +295,7 @@ def unit_words(tables):
 
 @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (4, 3)])
 def test_rotation_law_exhaustive(tables_for, n, q):
-    """Rotating by k adds k to every turns value and fixes every offset."""
+    """Rotating by k adds k * x_exponent to every log, mod group_order: k turns, no offset."""
     tables = tables_for(n, q)
     for word in unit_words(tables):
         base = profile(tables, word)
@@ -298,9 +304,8 @@ def test_rotation_law_exhaustive(tables_for, n, q):
             assert rotated.support == base.support
             for i, block in enumerate(tables.blocks):
                 for j, qc in enumerate(block.quotients):
-                    b0, bk = base.entry(i, j), rotated.entry(i, j)
-                    assert bk.turns == (k + b0.turns) % qc.rotation_order
-                    assert bk.offset == b0.offset
+                    assert rotated.logs[(i, j)] == (
+                        base.logs[(i, j)] + k * qc.x_exponent) % qc.group_order
 
 
 @pytest.mark.parametrize("n,q", [(3, 10), (5, 4), (9, 2)])

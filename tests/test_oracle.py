@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,33 @@ class TestEnumNecklaces:
             enum_necklaces(10, 10)
         with pytest.raises(EnvelopeExceededError):
             enum_necklaces(3, 10, limit=100)
+
+
+@pytest.mark.parametrize("enum", [enum_necklaces, enum_functions])
+@pytest.mark.parametrize("n,q", [(3, 0), (0, 2), (3, -1), (-1, 2)])
+def test_nonpositive_n_or_q_is_refused(enum, n, q):
+    message = f"need positive n and q, got n={n}, q={q}"
+    if q > 0:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enum(n, q)
+        return
+    # n * q**n <= 0 passed the envelope, and enum_necklaces(3, q) listed words with
+    # colours outside [0, q) until memory ran out: a child process with 512 MB of
+    # address space and 10 s keeps a regression from hanging the suite
+    child = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = 2**29 if hard == resource.RLIM_INFINITY else min(2**29, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        f"from necklacemap.oracle import {enum.__name__}\n"
+        f"try:\n    {enum.__name__}({n}, {q})\n"
+        "except ValueError as error:\n    sys.exit(str(error))\n"
+    )
+    paths = [str(Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert (done.returncode, done.stderr) == (1, message + "\n")
 
 
 class TestEnumFunctions:
@@ -178,7 +209,7 @@ class TestVerify:
         target = next(
             w for w in enum_necklaces(5, 4)
             if (prof := genuine(tables, w)).support == full
-            and prof.entry(i, j).offset + 1 < x_exponent
+            and prof.logs[i, j] % x_exponent + 1 < x_exponent
         )
         calls = []
 
@@ -187,9 +218,7 @@ class TestVerify:
             if tuple(word) != target:
                 return prof
             calls.append(word)
-            entries = dict(prof.entries)
-            entries[(i, j)] = replace(prof.entry(i, j), offset=prof.entry(i, j).offset + 1)
-            return replace(prof, entries=entries)
+            return _moved(tables, prof, (i, j), "offset")
 
         monkeypatch.setattr(oracle, "profile", perturbed)
         report = verify_bijection(5, 4)
@@ -273,6 +302,14 @@ def _rotating_pair(tables):
     )
 
 
+def _moved(tables, prof, pair, field):
+    """`prof` with the offset of its log at `pair` moved by one (the log plus one), or its
+    turns by one (the log plus x_exponent, mod group_order)."""
+    qctx, log = tables.blocks[pair[0]].quotients[pair[1]], prof.logs[pair]
+    log = log + 1 if field == "offset" else (log + qctx.x_exponent) % qctx.group_order
+    return replace(prof, logs={**prof.logs, pair: log})
+
+
 class TestShiftLemma:
     @pytest.mark.parametrize("n,q", [(3, 10), (1, 7), (7, 2), (5, 4), (9, 2)])
     def test_holds(self, tables_for, n, q):
@@ -298,10 +335,7 @@ class TestShiftLemma:
             prof = genuine(tables_arg, word)
             if tuple(word) != target:
                 return prof
-            entry = prof.entry(i, j)
-            entries = dict(prof.entries)
-            entries[(i, j)] = replace(entry, **{field: getattr(entry, field) + 1})
-            return replace(prof, entries=entries)
+            return _moved(tables, prof, (i, j), field)
 
         monkeypatch.setattr(oracle, "profile", perturbed)
         monkeypatch.setattr(dlog, "profile", perturbed)
@@ -326,10 +360,7 @@ class TestShiftLemma:
             prof = genuine(tables_arg, word)
             if tuple(word) != target:
                 return prof
-            entry = prof.entry(i, j)
-            entries = dict(prof.entries)
-            entries[(i, j)] = replace(entry, **{field: getattr(entry, field) + 1})
-            return replace(prof, entries=entries)
+            return _moved(tables, prof, (i, j), field)
 
         monkeypatch.setattr(oracle, "profile", perturbed)
         assert oracle._shift_lemma_holds(tables, necklaces) is False
@@ -440,26 +471,26 @@ class TestRotationLawCounterexample:
         target = next(
             w for w in enum_necklaces(5, 4)
             if (prof := genuine(tables, w)).support == full
-            and prof.entry(i, j).offset + 1 < qctx.x_exponent
+            and prof.logs[i, j] % qctx.x_exponent + 1 < qctx.x_exponent
         )
 
         def moved(tables_arg, word):
             prof = genuine(tables_arg, word)
             if tuple(word) != target:
                 return prof
-            entries = dict(prof.entries)
-            entries[(i, j)] = replace(prof.entry(i, j), offset=prof.entry(i, j).offset + 1)
-            return replace(prof, entries=entries)
+            return _moved(tables, prof, (i, j), "offset")
 
         monkeypatch.setattr(oracle, "profile", moved)
         report = verify_bijection(5, 4)
-        was, r = genuine(tables, target).entry(i, j), qctx.rotation_order
-        got = genuine(tables, shift(target, 1)).entry(i, j)
+        r = qctx.rotation_order
+        was_turns, was_offset = divmod(genuine(tables, target).logs[i, j], qctx.x_exponent)
+        got_turns, got_offset = divmod(
+            genuine(tables, shift(target, 1)).logs[i, j], qctx.x_exponent)
         assert report.flags["shift_lemma_ok"] is False
         assert report.counterexamples["shift_lemma_ok"] == (
             f"necklace {','.join(map(str, target))}, rotation 1: quotient ({i + 1}, {j + 1}) "
-            f"shows turns {got.turns % r} and offset {got.offset}, "
-            f"expected turns {(1 + was.turns) % r} and offset {was.offset + 1}"
+            f"shows turns {got_turns % r} and offset {got_offset}, "
+            f"expected turns {(1 + was_turns) % r} and offset {was_offset + 1}"
         )
         assert oracle._shift_lemma_holds(tables, enum_necklaces(5, 4)) is False
 
@@ -491,9 +522,7 @@ class TestRotationLawCounterexample:
             prof = genuine(tables_arg, word)
             if tuple(word) != (0, 1, 0, 0, 0):
                 return prof
-            entries = dict(prof.entries)
-            entries[(i, j)] = replace(prof.entry(i, j), turns=prof.entry(i, j).turns + 1)
-            return replace(prof, entries=entries)
+            return _moved(tables, prof, (i, j), "turns")
 
         monkeypatch.setattr(oracle, "profile", turned)
         assert oracle._word_x_break(tables, full) == (

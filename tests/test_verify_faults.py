@@ -8,9 +8,10 @@ the enumeration:
 - shared image: b maps to a's image;
 - stray image: a maps to 0,...,0,1, whose weighted sum is n - 1, not 0;
 - wrong unmap: a's image unmaps to b;
-- moved offset: the first fully supported necklace with an offset that can move
-  by one inside its quotient's x_exponent has it moved; (3,2) has none, and its
-  offset moved past the range makes the map raise;
+- moved offset: the first fully supported necklace with an offset (its log mod
+  x_exponent) that can move by one inside its quotient's x_exponent has its log
+  moved by one; (3,2) has none, and its log moved past group_order makes the map
+  raise;
 - missing stratum: stratum_keys leaves out its last key.
 """
 
@@ -40,8 +41,9 @@ def _moved_offset(tables, n, q):
     supported = [(w, prof) for w in enum_necklaces(n, q)
                  if (prof := dlog.profile(tables, w)).support == full]
     for w, prof in supported:
-        for (i, j), entry in prof.entries.items():
-            if entry.offset + 1 < tables.blocks[i].quotients[j].x_exponent:
+        for (i, j), log in prof.logs.items():
+            x_exponent = tables.blocks[i].quotients[j].x_exponent
+            if log % x_exponent + 1 < x_exponent:
                 return w, (i, j)
     return supported[0][0], (0, 0)
 
@@ -70,9 +72,7 @@ def install(fault, tables, monkeypatch):
             prof = genuine_profile(tables_arg, word)
             if tuple(word) != target:
                 return prof
-            entries = dict(prof.entries)
-            entries[(i, j)] = replace(prof.entry(i, j), offset=prof.entry(i, j).offset + 1)
-            return replace(prof, entries=entries)
+            return replace(prof, logs={**prof.logs, (i, j): prof.logs[i, j] + 1})
 
         monkeypatch.setattr(oracle, "profile", moved)
     else:
